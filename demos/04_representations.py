@@ -17,6 +17,16 @@ for q in (7, 11, 23):
               f"(a|p) = {legendre(r.a, p):+d}")
 print()
 
+print("Larger class numbers need no search: a root of -q mod p is lifted to p^h")
+print("and Cornacchia's algorithm finds the pair in O(h log p) steps:")
+for q in (47, 71):
+    for p in primes_matching(2000, [CongruenceConstraint(q, 1)])[:3]:
+        r = hahn_lee_representation(p, q)
+        a_txt = f"({r.a})" if r.a < 0 else f"{r.a}"
+        print(f"  q={q} p={p:>4}: 4*{p}^{r.h} = {a_txt}^2 + {q}*{r.b}^2, "
+              f"(a|p) = {legendre(r.a, p):+d}")
+print()
+
 print("The subgroup of squares mod q and the indices with -i a square:")
 for q in (7, 11, 19):
     d = square_subgroup(q)

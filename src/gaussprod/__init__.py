@@ -19,8 +19,8 @@ from .products import (BlockCounts, PartialProductTable, block_counts,
                        generalized_partial_products, partial_products,
                        residue_cumulative_counts, residue_mask,
                        selected_block_indices, theorem1_product)
-from .scan import (DEFAULT_Q_MAX, DEFAULT_REPRESENTATION_Q, ScanConfig,
-                   ScanReport, render_csv, render_human, render_json, run_scan)
+from .scan import (DEFAULT_Q_MAX, ScanConfig, ScanReport, render_csv,
+                   render_human, render_json, run_scan)
 from .theorems import (THEOREM_IDS, regime_q_reason, verify, verify_corollary,
                        verify_eq2_parity, verify_eq_a, verify_mordell,
                        verify_symmetry, verify_theorem1, verify_theorem2,
@@ -34,7 +34,6 @@ __all__ = [
     "ClassNumberResult",
     "CongruenceConstraint",
     "DEFAULT_Q_MAX",
-    "DEFAULT_REPRESENTATION_Q",
     "InternalCheckError",
     "PartialProductTable",
     "RegimeError",

@@ -115,7 +115,7 @@ def class_number_forms(p: int) -> ClassNumberResult:
     whenever |B| == A or A == C.  Since -p == 1 (mod 4), B is odd, so the
     content gcd(A, B, C) can never be even and primitivity is automatic for
     prime p.  p == 3 is accepted here (h(-3) = 1) because it is needed as an
-    exponent by the representation search.
+    exponent by the norm-form representation.
     """
     _check_discriminant_prime(p, minimum=3)
     count = 0
@@ -191,66 +191,105 @@ class Representation:
     b: int
 
 
-def _square_root_exact(r: int) -> int | None:
-    s = math.isqrt(r)
-    return s if s * s == r else None
+def _sqrt_mod_prime(n: int, p: int) -> int:
+    """A square root of n modulo an odd prime p, by Tonelli-Shanks.
+
+    The general algorithm is needed: p == 1 (mod 8) occurs in the eq_a
+    regime, where only p == 1 (mod q) is assumed.
+    """
+    n %= p
+    if pow(n, (p - 1) // 2, p) != 1:
+        raise InternalCheckError(f"{n} is not a nonzero square mod {p}")
+    s, t = 0, p - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, x, e = pow(z, t, p), pow(n, (t + 1) // 2, p), pow(n, t, p)
+    while e != 1:
+        # least i with e**(2**i) == 1; then fold c**(2**(s-i-1)) into x
+        i, f = 0, e
+        while f != 1:
+            i, f = i + 1, f * f % p
+        g = pow(c, 1 << (s - i - 1), p)
+        x, c, s = x * g % p, g * g % p, i
+        e = e * c % p
+    return x
 
 
-def _norm_solutions(target: int, q: int, p: int) -> list[tuple[int, int]]:
-    """Primitive (|a|, b) with a*a + q*b*b == target, b > 0, ascending in b."""
-    bmax = math.isqrt(target // q)
-    hits: list[tuple[int, int]] = []
-    if target < (1 << 62):
-        chunk = 1 << 20
-        for lo in range(1, bmax + 1, chunk):
-            b = np.arange(lo, min(lo + chunk, bmax + 1), dtype=np.int64)
-            r = target - q * b * b
-            # float sqrt is only a guess; the squared back-check is exact int64
-            guess = np.sqrt(r.astype(np.float64)).astype(np.int64)
-            for d in (-1, 0, 1):
-                s = guess + d
-                ok = (s > 0) & (s * s == r)
-                for i in np.nonzero(ok)[0]:
-                    hits.append((int(s[i]), int(b[i])))
-    else:
-        for b in range(1, bmax + 1):
-            s = _square_root_exact(target - q * b * b)
-            if s:
-                hits.append((s, b))
-    hits = sorted(set(hits), key=lambda t: (t[1], t[0]))
-    # drop imprimitive hits: p | b forces p | a and the pair is p times a
-    # representation of a smaller power
-    return [(s, b) for s, b in hits if b % p or s % p]
+def _hensel_lift(r: int, n: int, p: int, k: int) -> int:
+    """Lift a root r of x**2 == n (mod p), with p an odd prime not dividing
+    n, to the root of x**2 == n (mod p**k) congruent to r mod p."""
+    mod = p
+    for _ in range(k - 1):
+        mod *= p
+        r = (r - (r * r - n) * pow(2 * r, -1, mod)) % mod
+    return r
 
 
-@lru_cache(maxsize=256)
+def _cornacchia4(q: int, m: int, r: int) -> tuple[int, int] | None:
+    """Modified Cornacchia (Cohen, GTM 138, Alg. 1.5.3): (x, y) with
+    x*x + q*y*y == 4*m, from an odd root 0 < r < 2*m of x**2 == -q
+    (mod 4*m); None when the remainder test fails."""
+    a, b = 2 * m, r
+    limit = math.isqrt(4 * m)
+    while b > limit:
+        a, b = b, a % b
+    rest = 4 * m - b * b
+    if rest % q:
+        return None
+    y = math.isqrt(rest // q)
+    return (b, y) if q * y * y == rest else None
+
+
+def _smallest_b_associate(x: int, y: int) -> tuple[int, int]:
+    """Among the sixth-root-of-unity associates of (x + y*sqrt(-3))/2, the
+    (|a|, b) pair with the smallest b > 0."""
+    pairs = ((x, y), ((x + 3 * y) // 2, (x - y) // 2),
+             ((x - 3 * y) // 2, (x + y) // 2))
+    return min(((abs(a), abs(b)) for a, b in pairs), key=lambda t: t[1])
+
+
 def hahn_lee_representation(p: int, q: int) -> Representation:
-    """Exhaustive search for the norm-form representation 4*p**h = a^2 + q*b^2.
+    """The norm-form representation 4*p**h = a^2 + q*b^2, h = h(-q).
 
-    Needs q == 3 (mod 4) prime and p == 1 (mod q) prime.  For q > 3 the
-    primitive solution is unique up to the sign of a, and ambiguity raises
-    InternalCheckError; q == 3 has extra unit symmetry, so the solution with
-    the smallest b is taken there.  Exactly one sign of a is == 2 (mod q).
+    Needs q == 3 (mod 4) prime and p == 1 (mod q) prime.  A square root of
+    -q mod p (Tonelli-Shanks) is Hensel-lifted to p**h, made odd so that it
+    is a root mod 4*p**h, and fed to modified Cornacchia together with its
+    negation; that is O(h log p) big-integer steps.  For q > 3 the primitive
+    solution is unique up to the sign of a, so the two roots must agree or
+    InternalCheckError is raised; q == 3 has extra unit symmetry, so the
+    associate with the smallest b is taken there.  Exactly one sign of a is
+    == 2 (mod q).
     """
     if q % 4 != 3 or not is_prime(q):
         raise RegimeError(f"q must be a prime == 3 (mod 4), got {q}")
     if p == q or not is_prime(p) or p % q != 1:
         raise RegimeError(f"p must be a prime == 1 (mod q), got p={p}, q={q}")
     h = class_number_forms(q).h
-    target = 4 * p ** h
-    sols = _norm_solutions(target, q, p)
-    if not sols:
+    m = p ** h
+    root = _hensel_lift(_sqrt_mod_prime(-q, p), -q, p, h)
+    if root % 2 == 0:
+        root += m   # same root mod m, now odd, hence a root mod 4*m
+    sols = {_cornacchia4(q, m, r) for r in (root, 2 * m - root)}
+    if None in sols:
         raise InternalCheckError(
             f"no primitive representation of 4*{p}**{h} by x^2 + {q}*y^2")
-    if q > 3 and len({s for s, _ in sols}) > 1:
+    if q > 3 and len(sols) > 1:
         raise InternalCheckError(
-            f"ambiguous representation at p={p}, q={q}: {sols}")
-    s, b = sols[0]
+            f"ambiguous representation at p={p}, q={q}: {sorted(sols)}")
+    s, b = min(sols)
+    if q == 3:
+        s, b = _smallest_b_associate(s, b)
     a = s if s % q == 2 else -s
     if a % q != 2:
         raise InternalCheckError(
             f"neither sign of a={s} is 2 mod {q} at p={p}")
-    if a * a + q * b * b != target:
+    if a * a + q * b * b != 4 * m:
         raise InternalCheckError(
             f"representation back-check failed at p={p}, q={q}")
+    if not (b % p or a % p):
+        raise InternalCheckError(
+            f"imprimitive representation at p={p}, q={q}: a={a}, b={b}")
     return Representation(p=p, q=q, h=h, a=a, b=b)

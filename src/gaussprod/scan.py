@@ -22,7 +22,6 @@ from .verdict import Verdict
 
 __all__ = [
     "DEFAULT_Q_MAX",
-    "DEFAULT_REPRESENTATION_Q",
     "ScanConfig",
     "ScanReport",
     "render_csv",
@@ -33,16 +32,12 @@ __all__ = [
 
 DEFAULT_Q_MAX = 97
 
-# the representation search costs about p**(h(-q)/2) steps per prime, so the
-# default q list for eq_a/t2 sticks to class numbers h(-q) <= 3
-DEFAULT_REPRESENTATION_Q = (7, 11, 19, 23, 31)
-
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Domain of one sweep.  q_values None means per-theorem defaults:
-    odd primes up to DEFAULT_Q_MAX, except eq_a/t2 which use
-    DEFAULT_REPRESENTATION_Q."""
+    """Domain of one sweep.  q_values None means every odd prime up to
+    DEFAULT_Q_MAX for every theorem; q values outside a theorem's regime
+    are counted under skipped_q."""
 
     p_max: int
     theorems: tuple[str, ...]
@@ -79,18 +74,12 @@ class ScanReport:
     runtime_ms: int
 
 
-def _default_q_list(theorem_id: str) -> tuple[int, ...]:
-    if theorem_id in ("eq_a", "t2"):
-        return DEFAULT_REPRESENTATION_Q
-    return tuple(n for n in range(3, DEFAULT_Q_MAX + 1, 2) if is_prime(n))
-
-
 def _resolved_q(config: ScanConfig, theorem_id: str) -> tuple[int | None, ...]:
     if theorem_id == "mordell":
         return (None,)
     if config.q_values is not None:
         return config.q_values
-    return _default_q_list(theorem_id)
+    return tuple(n for n in range(3, DEFAULT_Q_MAX + 1, 2) if is_prime(n))
 
 
 def _run_unit(unit: tuple[tuple[str, ...], int | None, tuple[int, ...]]) -> list[Verdict]:

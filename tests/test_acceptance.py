@@ -154,3 +154,20 @@ def test_criterion_9_worker_determinism():
     took = time.perf_counter() - t0
     _line("9 determinism 1 vs 8 workers", same, took)
     assert same
+
+
+def test_criterion_10_representation_identities_default_q():
+    t0 = time.perf_counter()
+    rep = _scan(100_000, ("eq_a", "t2"))
+    took = time.perf_counter() - t0
+    eq_a, t2 = rep.totals["eq_a"], rep.totals["t2"]
+    fails = eq_a["failed"] + t2["failed"]
+    ok = fails == 0 and took < 60
+    _line("10 eq_a/t2 default q<=97 p<1e5", ok, took,
+          f"eq_a {eq_a['applicable']}, t2 {t2['applicable']}")
+    assert rep.config["q"]["eq_a"] == list(Q_ODD_PRIMES_97)
+    assert fails == 0, rep.failures[:5]
+    # skipped: the 11 q == 1 (mod 4), plus q = 3 for eq_a
+    assert (eq_a["applicable"], eq_a["skipped_q"]) == (4942, 12)
+    assert (t2["applicable"], t2["skipped_q"]) == (4903, 11)
+    assert took < 60

@@ -9,6 +9,8 @@ from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        class_number_forms, class_number_lemma1,
                        hahn_lee_representation, jacobi, primes_matching,
                        square_subgroup)
+from gaussprod.classnum import (_hensel_lift, _smallest_b_associate,
+                                _sqrt_mod_prime)
 from gaussprod.products import residue_mask
 
 from oracles import (naive_class_number, naive_class_number_dirichlet,
@@ -136,24 +138,63 @@ def test_representation_satisfies_equation_and_sign_rule():
             assert r.b % p or r.a % p, (p, q)   # primitivity
 
 
+# q == 3 (mod 4) primes up to 97; q = 71 is absent on purpose: h(-71) = 7
+# and its smallest admissible p is 569, where the naive search would try
+# about 1e9 values of b.  Criterion 10 covers q = 71 through the run-time
+# checks and the eq_a/t2 verdicts instead.
+NAIVE_Q = (3, 7, 11, 19, 23, 31, 43, 47, 59, 67, 79, 83)
+
+
 def test_representation_matches_naive_search():
-    for q, pmax in ((3, 300), (7, 300), (23, 120)):
+    assert set(NAIVE_Q) | {71} == {q for q in range(3, 98, 4)
+                                   if naive_is_prime(q)}
+    for q in NAIVE_Q:
         h = naive_class_number(q)
-        for p in primes_matching(pmax, [CongruenceConstraint(q, 1)]):
-            if p == q:
-                continue
+        # p < 3000, and the naive search tries sqrt(4*p**h/q) <= 500_000 b
+        ps = [p for p in primes_matching(3000, [CongruenceConstraint(q, 1)])
+              if p != q and 4 * p ** h <= q * 500_000 ** 2]
+        assert ps, q
+        for p in ps:
             r = hahn_lee_representation(p, q)
+            assert r.h == h, (p, q)
             candidates = [(a, b) for a, b in naive_representations(p, q, h)
                           if b % p or a % p]
             assert (r.a, r.b) in candidates, (p, q)
             if q > 3:
                 # unique primitive |a|: every candidate shares it
                 assert len({abs(a) for a, _ in candidates}) == 1, (p, q)
+            else:
+                assert r.b == min(b for _, b in candidates), p
+
+
+def test_sqrt_mod_prime():
+    # p == 1 (mod 8) takes Tonelli-Shanks through more than one squaring
+    # round (65537 = 2**16 + 1 through sixteen); 7, 11, 13 take short paths
+    for p in (7, 11, 13, 17, 41, 73, 97, 113, 193, 257, 65537):
+        squares = {x * x % p for x in range(1, p)}
+        for n in range(min(p, 300)):
+            if n in squares:
+                r = _sqrt_mod_prime(n, p)
+                assert 0 <= r < p and r * r % p == n, (n, p)
+            else:
+                with pytest.raises(InternalCheckError):
+                    _sqrt_mod_prime(n, p)
+
+
+def test_hensel_lift():
+    for p, n in ((7, 2), (17, 2), (29, -7), (41, -23), (283, -47), (569, -71)):
+        r = _sqrt_mod_prime(n, p)
+        for k in range(1, 8):
+            mod = p ** k
+            lifted = _hensel_lift(r, n, p, k)
+            assert 0 <= lifted < mod, (p, n, k)
+            assert (lifted * lifted - n) % mod == 0, (p, n, k)
+            assert lifted % p == r, (p, n, k)
 
 
 def test_representation_skips_imprimitive_solutions():
-    # at p=599, q=23 the search range contains 599 * (solution for h=1),
-    # which must be rejected in favor of the genuinely primitive pair
+    # 4*599**3 also equals 599**2 * 4*599, so 599 times the h=1 solution is
+    # an imprimitive pair that must not be returned
     r = hahn_lee_representation(599, 23)
     assert r.b % 599 and r.a % 599
     assert r.a * r.a + 23 * r.b * r.b == 4 * 599 ** 3
@@ -172,9 +213,14 @@ def test_q3_representation_picks_smallest_b():
     # q=3 admits several primitive pairs; the smallest b is the documented pick
     for p in (7, 13, 19, 31, 37, 43):
         r = hahn_lee_representation(p, 3)
-        all_b = sorted(b for a, b in naive_representations(p, 3, 1)
-                       if b % p or a % p)
-        assert r.b == all_b[0], p
+        pairs = [(a, b) for a, b in naive_representations(p, 3, 1)
+                 if b % p or a % p]
+        smallest = min(pairs, key=lambda t: t[1])
+        assert r.b == smallest[1], p
+        # every associate normalizes to the smallest-b pair, whichever one
+        # Cornacchia happens to return
+        for a, b in pairs:
+            assert _smallest_b_associate(a, b) == (abs(smallest[0]), smallest[1])
 
 
 @given(st.sampled_from(P_3MOD4))
