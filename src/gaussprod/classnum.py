@@ -24,8 +24,8 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import is_prime, jacobi
+from .context import P_LIMIT, PrimeContext, prime_context
 from .errors import InternalCheckError, RegimeError
-from .products import _NUMPY_MAX_P, residue_cumulative_counts, residue_mask
 from .verdict import Verdict, make_verdict
 
 __all__ = [
@@ -54,49 +54,49 @@ def _check_discriminant_prime(p: int, minimum: int = 7) -> None:
             f"need a prime p == 3 (mod 4) with p >= {minimum}, got {p}")
 
 
-@lru_cache(maxsize=None)
+def _discriminant_context(p: int) -> PrimeContext:
+    """The context of a prime p == 3 (mod 4), p >= 7."""
+    if p < 7 or p % 4 != 3:
+        raise ValueError(f"need a prime p == 3 (mod 4) with p >= 7, got {p}")
+    return prime_context(p)
+
+
 def class_number_dirichlet(p: int) -> ClassNumberResult:
     """h(-p) = (sum of (a|p) over 0 < a < p/2) / (2 - (2|p)), for p == 3 (mod 4)."""
-    _check_discriminant_prime(p)
-    half = (p - 1) // 2
-    if p < _NUMPY_MAX_P:
-        cum = residue_cumulative_counts(p)
-        char_sum = 2 * int(cum[half]) - half
-    else:
-        char_sum = sum(jacobi(a, p) for a in range(1, half + 1))
-    denom = 2 - jacobi(2, p)
-    if char_sum % denom:
-        raise InternalCheckError(
-            f"half-interval character sum {char_sum} not divisible by {denom} at p={p}")
-    h = char_sum // denom
-    if h < 1:
-        raise InternalCheckError(f"nonpositive class number {h} at p={p}")
-    return ClassNumberResult(p=p, h=h, method="dirichlet")
+    ctx = _discriminant_context(p)
+    if ctx.class_number is None:
+        half = (p - 1) // 2
+        char_sum = 2 * int(ctx.cum[half]) - half
+        denom = 2 - jacobi(2, p)
+        if char_sum % denom:
+            raise InternalCheckError(
+                f"half-interval character sum {char_sum} not divisible by {denom} at p={p}")
+        h = char_sum // denom
+        if h < 1:
+            raise InternalCheckError(f"nonpositive class number {h} at p={p}")
+        ctx.class_number = ClassNumberResult(p=p, h=h, method="dirichlet")
+    return ctx.class_number
 
 
-@lru_cache(maxsize=4096)
 def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     """h(-p) from the weighted sum of (a|p) * (q - 1 - 2*floor(a*q/p)).
 
     Valid for p == 3 (mod 4) and any odd prime q != p; the weight degrades
     the plain half-interval sum when q == 2 would be substituted, so q here
     is kept an odd prime and the q-independence of the result is what the
-    cross-check suites exercise.
+    cross-check suites exercise.  q < 2**31 keeps the sum inside int64.
     """
-    _check_discriminant_prime(p)
+    ctx = _discriminant_context(p)
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if q == p:
         raise ValueError("q must differ from p")
-    half = (p - 1) // 2
-    if p < _NUMPY_MAX_P and q < _NUMPY_MAX_P // p:
-        a = np.arange(1, half + 1, dtype=np.int64)
-        chi = np.where(residue_mask(p)[a], np.int64(1), np.int64(-1))
-        w = (q - 1) - 2 * ((a * q) // p)
-        total = int((chi * w).sum())
-    else:
-        total = sum(jacobi(a, p) * (q - 1 - 2 * (a * q // p))
-                    for a in range(1, half + 1))
+    if q >= P_LIMIT:
+        raise ValueError(f"q must be below 2**31, got {q}")
+    a = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
+    chi = np.where(ctx.mask[a], np.int64(1), np.int64(-1))
+    w = (q - 1) - 2 * ((a * q) // p)
+    total = int((chi * w).sum())
     denom = q - jacobi(q, p)
     if total % denom:
         raise InternalCheckError(
@@ -265,8 +265,15 @@ def hahn_lee_representation(p: int, q: int) -> Representation:
     """
     if q % 4 != 3 or not is_prime(q):
         raise RegimeError(f"q must be a prime == 3 (mod 4), got {q}")
-    if p == q or not is_prime(p) or p % q != 1:
+    if p % q != 1:
         raise RegimeError(f"p must be a prime == 1 (mod q), got p={p}, q={q}")
+    representations = prime_context(p).representations
+    if q not in representations:
+        representations[q] = _representation(p, q)
+    return representations[q]
+
+
+def _representation(p: int, q: int) -> Representation:
     h = class_number_forms(q).h
     m = p ** h
     root = _hensel_lift(_sqrt_mod_prime(-q, p), -q, p, h)

@@ -1,0 +1,138 @@
+"""Per-prime state: one PrimeContext holds everything derived from a prime p.
+
+The context validates p once and builds each field on first use: the
+quadratic-residue mask and its cumulative counts, and a product tree of
+1..p-1 (Bernstein, "Fast multiplication and its applications", 2008) that
+answers x! mod p for many x in one vectorised query.  The block tables,
+h(-p) and the norm-form representations are kept here too, filled in by
+the products and classnum modules that compute them.
+
+prime_context(p) keeps the latest context in a single slot.  A scan works
+on one prime at a time, so every lookup inside a verifier hits that slot.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+import numpy as np
+
+from .arith import is_prime
+
+__all__ = ["P_LIMIT", "PrimeContext", "prime_context"]
+
+# int64 stays exact for products of two residues and for j*j below this bound
+P_LIMIT = 1 << 31
+
+
+class PrimeContext:
+    """Per-prime state for an odd prime p < 2**31."""
+
+    def __init__(self, p: int) -> None:
+        if p >= P_LIMIT:
+            raise ValueError(f"p must be below 2**31, got {p}")
+        if p < 3 or p % 2 == 0 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime, got {p}")
+        self.p = p
+        # (n, generalized) -> PartialProductTable, filled by products
+        self.tables: dict = {}
+        # h(-p) by Dirichlet's sum, a ClassNumberResult filled by classnum
+        self.class_number = None
+        # q -> Representation of 4*p**h(-q), filled by classnum
+        self.representations: dict = {}
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """mask[v] is True iff v is a nonzero square mod p."""
+        p = self.p
+        # j and p - j have the same square, so j <= (p-1)/2 covers them all
+        squares = np.arange(1, (p + 1) // 2, dtype=np.int64)
+        squares *= squares
+        squares %= p
+        mask = np.zeros(p, dtype=bool)
+        mask[squares] = True
+        mask.flags.writeable = False
+        return mask
+
+    @cached_property
+    def cum(self) -> np.ndarray:
+        """cum[x] is the number of quadratic residues among 1..x."""
+        cum = np.cumsum(self.mask, dtype=np.int64)
+        cum.flags.writeable = False
+        return cum
+
+    @cached_property
+    def _tree(self) -> list[np.ndarray]:
+        """Level k holds the products mod p of aligned runs of 2**k leaves,
+        the leaves being 1..p-1.  A level of odd length carries its last
+        node up unpaired, as if the leaves were padded with ones."""
+        p = self.p
+        level = np.arange(1, p, dtype=np.int64)
+        levels = [level]
+        while level.size > 1:
+            n = level.size
+            up = np.empty((n + 1) // 2, dtype=np.int64)
+            pairs = up[:n // 2]
+            np.multiply(level[0:n - 1:2], level[1::2], out=pairs)
+            np.remainder(pairs, p, out=pairs)
+            if n & 1:
+                up[-1] = level[-1]
+            level = up
+            levels.append(level)
+        return levels
+
+    def factorials(self, x) -> np.ndarray:
+        """x! mod p for every entry 0 <= x < p of an integer array.
+
+        The leaves 1..x are tiled by one tree node per set bit k of x: the
+        node of level k whose run ends at leaf (x >> k) << k.
+        """
+        x = np.asarray(x, dtype=np.int64)
+        out = np.ones_like(x)
+        for k, level in enumerate(self._tree):
+            node = x >> k
+            out = np.where(node & 1, out * level[node - 1] % self.p, out)
+        return out
+
+    def range_products(self, lo, hi) -> np.ndarray:
+        """Product of the integers lo..hi mod p, elementwise over arrays
+        with 1 <= lo <= hi + 1: 1 for an empty range, 0 when the range
+        holds a multiple of p.
+
+        Each product is F(hi) * F(lo - 1)**-1 with F(x) = x! mod p, all
+        from one factorials() query: Wilson's theorem gives the reflection
+        x! * (p-1-x)! == (-1)**(x+1), so F(x)**-1 == (-1)**(x+1) * F(p-1-x).
+        """
+        p = self.p
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        below = (lo - 1) % p
+        f = self.factorials(np.concatenate((hi % p, p - 1 - below)))
+        top, reflected = f[:below.size], f[below.size:]
+        out = top * np.where(below & 1, reflected, p - reflected) % p
+        out[hi // p > (lo - 1) // p] = 0
+        return out
+
+    def legendre(self, a: int) -> int:
+        """Legendre symbol (a|p) by Euler's criterion."""
+        t = pow(a, (self.p - 1) // 2, self.p)
+        return -1 if t == self.p - 1 else t
+
+
+_slot: PrimeContext | None = None
+# The replaced context is kept until the next swap, so the new context's
+# arrays are built while the old ones still hold their heap space, which the
+# prime after reuses.  Freed at once, that space went back to the OS: a
+# mordell scan at p < 1e5 then took 1.35M minor page faults, not 0.45M
+# (glibc malloc, 2-vCPU Xeon VM).
+_previous: PrimeContext | None = None
+
+
+def prime_context(p: int) -> PrimeContext:
+    """The context of p.  One slot: asking for another prime replaces it."""
+    global _slot, _previous
+    ctx = _slot
+    if ctx is None or ctx.p != p:
+        _previous, ctx = ctx, PrimeContext(p)
+        _slot = ctx
+    return ctx

@@ -9,13 +9,13 @@ floor-length sizes and the two notions coincide when p == 1 (mod q).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .arith import is_prime, jacobi
+from .context import prime_context
 
 __all__ = [
     "BlockCounts",
@@ -24,16 +24,13 @@ __all__ = [
     "block_ranges",
     "enlarged_block_index",
     "generalized_partial_products",
+    "load_block_tables",
     "partial_products",
     "residue_cumulative_counts",
     "residue_mask",
     "selected_block_indices",
     "theorem1_product",
 ]
-
-# int64 stays exact for products of two residues and for j*j below this bound
-_NUMPY_MAX_P = 1 << 31
-_NUMPY_MIN_LEN = 64
 
 
 def _check_odd_prime(x: int, name: str) -> None:
@@ -49,26 +46,6 @@ def block_ranges(p: int, n: int, generalized: bool = False) -> tuple[tuple[int, 
         return tuple(zip(lows, highs))
     m = (p - 1) // n
     return tuple(((k - 1) * m + 1, k * m) for k in range(1, n + 1))
-
-
-def _prod_range_mod(lo: int, hi: int, p: int) -> int:
-    """Product of the integers lo..hi inclusive, reduced mod p."""
-    if lo > hi:
-        return 1
-    if p < _NUMPY_MAX_P and hi - lo >= _NUMPY_MIN_LEN:
-        arr = np.arange(lo, hi + 1, dtype=np.int64) % p
-        acc = 1
-        # pairwise halving: n-1 multiplications total, all inside int64
-        while arr.size > 1:
-            if arr.size & 1:
-                acc = acc * int(arr[-1]) % p
-                arr = arr[:-1]
-            arr = arr[0::2] * arr[1::2] % p
-        return acc * int(arr[0]) % p
-    acc = 1
-    for j in range(lo, hi + 1):
-        acc = acc * j % p
-    return acc
 
 
 @dataclass(frozen=True)
@@ -102,57 +79,50 @@ class PartialProductTable:
         return self.prefix_factorials()[-1]
 
 
-@lru_cache(maxsize=256)
+def load_block_tables(p: int, layouts) -> list[PartialProductTable]:
+    """The table of every (n, generalized) layout, from p's context.
+
+    Layouts are taken as valid; the ones the context lacks are computed
+    together, by one range query over all of their blocks.
+    """
+    ctx = prime_context(p)
+    missing = [key for key in dict.fromkeys(layouts) if key not in ctx.tables]
+    if missing:
+        ranges = [block_ranges(p, n, generalized) for n, generalized in missing]
+        lo, hi = np.array([r for rs in ranges for r in rs], dtype=np.int64).T
+        values = iter(ctx.range_products(lo, hi).tolist())
+        for (n, generalized), rs in zip(missing, ranges):
+            ctx.tables[n, generalized] = PartialProductTable(
+                p=p, n=n, values=tuple(islice(values, len(rs))),
+                generalized=generalized)
+    return [ctx.tables[key] for key in layouts]
+
+
 def partial_products(p: int, n: int) -> PartialProductTable:
     """Block products for equal blocks of length (p-1)/n; needs n | p - 1."""
-    _check_odd_prime(p, "p")
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if (p - 1) % n:
         raise ValueError(f"n must divide p - 1, got p={p}, n={n}")
-    values = tuple(_prod_range_mod(lo, hi, p) for lo, hi in block_ranges(p, n))
-    return PartialProductTable(p=p, n=n, values=values, generalized=False)
+    return load_block_tables(p, [(n, False)])[0]
 
 
-@lru_cache(maxsize=256)
 def generalized_partial_products(p: int, q: int) -> PartialProductTable:
     """Floor-cut block products; defined for any odd primes q < p."""
-    _check_odd_prime(p, "p")
     _check_odd_prime(q, "q")
     if q >= p:
         raise ValueError(f"q must be smaller than p, got p={p}, q={q}")
-    values = tuple(_prod_range_mod(lo, hi, p)
-                   for lo, hi in block_ranges(p, q, generalized=True))
-    return PartialProductTable(p=p, n=q, values=values, generalized=True)
-
-
-@lru_cache(maxsize=8)
-def _residue_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(mask, cum) where mask[v] marks nonzero squares mod p and
-    cum[x] counts quadratic residues in 1..x."""
-    j = np.arange(1, p, dtype=np.int64)
-    mask = np.zeros(p, dtype=bool)
-    mask[j * j % p] = True
-    cum = np.cumsum(mask, dtype=np.int64)
-    mask.flags.writeable = False
-    cum.flags.writeable = False
-    return mask, cum
+    return load_block_tables(p, [(q, True)])[0]
 
 
 def residue_mask(p: int) -> np.ndarray:
     """Boolean array of length p: entry v is True iff v is a nonzero square mod p."""
-    _check_odd_prime(p, "p")
-    if p >= _NUMPY_MAX_P:
-        raise ValueError(f"residue table needs p < 2**31, got {p}")
-    return _residue_tables(p)[0]
+    return prime_context(p).mask
 
 
 def residue_cumulative_counts(p: int) -> np.ndarray:
     """Array c with c[x] = number of quadratic residues among 1..x."""
-    _check_odd_prime(p, "p")
-    if p >= _NUMPY_MAX_P:
-        raise ValueError(f"residue table needs p < 2**31, got {p}")
-    return _residue_tables(p)[1]
+    return prime_context(p).cum
 
 
 @dataclass(frozen=True)
@@ -169,27 +139,20 @@ class BlockCounts:
         return self.residues[k - 1] + self.nonresidues[k - 1]
 
 
-@lru_cache(maxsize=256)
 def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:
     """Count residues/nonresidues inside each block of 1..p-1."""
-    _check_odd_prime(p, "p")
+    ctx = prime_context(p)
     _check_odd_prime(q, "q")
     if generalized:
         if q >= p:
             raise ValueError(f"q must be smaller than p, got p={p}, q={q}")
     elif (p - 1) % q:
         raise ValueError(f"q must divide p - 1, got p={p}, q={q}")
-    ranges = block_ranges(p, q, generalized)
-    res = []
-    if p < _NUMPY_MAX_P:
-        cum = residue_cumulative_counts(p)
-        for lo, hi in ranges:
-            res.append(int(cum[hi] - cum[lo - 1]))
-    else:
-        for lo, hi in ranges:
-            res.append(sum(1 for v in range(lo, hi + 1) if jacobi(v, p) == 1))
-    nonres = tuple(hi - lo + 1 - r for (lo, hi), r in zip(ranges, res))
-    return BlockCounts(p=p, q=q, residues=tuple(res), nonresidues=nonres,
+    cum = ctx.cum
+    lo, hi = np.array(block_ranges(p, q, generalized), dtype=np.int64).T
+    res = cum[hi] - cum[lo - 1]
+    return BlockCounts(p=p, q=q, residues=tuple(res.tolist()),
+                       nonresidues=tuple((hi - lo + 1 - res).tolist()),
                        generalized=generalized)
 
 

@@ -1,5 +1,9 @@
 """Range-scan engine: enumerate applicable (p, q) pairs, verify, aggregate.
 
+The engine is prime-major: it maps each prime p to the (theorem, q) pairs
+that apply to it, loads every block table p needs in one query on p's
+PrimeContext, then runs the verifiers.
+
 Reports are deterministic functions of the mathematical domain: verdicts are
 sorted by (p, q, theorem_id) after the parallel phase, so the worker count
 changes wall time only.  JSON output therefore compares byte-identical
@@ -11,13 +15,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass
 
 from .arith import is_prime, primes_matching
-from .theorems import THEOREM_IDS, _VERIFIERS, regime_q_reason, scan_domain
+from .context import P_LIMIT
+from .products import load_block_tables
+from .theorems import (THEOREM_IDS, _VERIFIERS, block_layout, regime_q_reason,
+                       scan_domain)
 from .verdict import Verdict
 
 __all__ = [
@@ -47,6 +53,8 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if self.p_max < 7:
             raise ValueError(f"p_max must be >= 7, got {self.p_max}")
+        if self.p_max > P_LIMIT:
+            raise ValueError(f"p_max must be <= 2**31, got {self.p_max}")
         if not self.theorems:
             raise ValueError("at least one theorem id is required")
         for tid in self.theorems:
@@ -82,40 +90,49 @@ def _resolved_q(config: ScanConfig, theorem_id: str) -> tuple[int | None, ...]:
     return tuple(n for n in range(3, DEFAULT_Q_MAX + 1, 2) if is_prime(n))
 
 
-def _run_unit(unit: tuple[tuple[str, ...], int | None, tuple[int, ...]]) -> list[Verdict]:
-    tids, q, primes = unit
+def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
+    """Verdicts for a unit of (p, ((theorem, q), ...)) entries."""
     out = []
-    for p in primes:
-        for tid in tids:
+    for p, work in unit:
+        layouts = [block_layout(tid, q) for tid, q in work]
+        load_block_tables(p, [lay for lay in layouts if lay is not None])
+        for tid, q in work:
+            # looked up per call, so a replaced verifier takes effect at once
             fn = _VERIFIERS[tid]
             out.append(fn(p) if tid == "mordell" else fn(p, q))
     return out
 
 
 def _build_units(config: ScanConfig) -> tuple[list, dict[str, int]]:
-    """Work units grouped so theorems sharing a (q, prime-domain) run on the
-    same p list back to back, which keeps the per-p caches warm."""
+    """Prime-major work units: runs of consecutive primes, each with its
+    (theorem, q) pairs, cut so that every unit holds about the same sum of
+    p, since the per-prime set-up grows linearly in p."""
     skipped: dict[str, int] = {tid: 0 for tid in config.theorems}
-    groups: dict[tuple, list[str]] = {}
+    domains: dict[tuple, list[int]] = {}
+    work: dict[int, list[tuple[str, int | None]]] = {}
     for tid in config.theorems:
         for q in _resolved_q(config, tid):
-            reason = regime_q_reason(tid, q)
-            if reason is not None:
+            if regime_q_reason(tid, q) is not None:
                 skipped[tid] += 1
                 continue
             constraints, min_p = scan_domain(tid, q)
-            key = (q, tuple((c.modulus, c.residue) for c in constraints), min_p)
-            groups.setdefault(key, []).append(tid)
-    units = []
-    for (q, cons_key, min_p), tids in sorted(groups.items(),
-                                             key=lambda kv: (kv[0][0] or 0, kv[0][1])):
-        constraints, _ = scan_domain(tids[0], q)
-        primes = [p for p in primes_matching(config.p_max, constraints) if p > min_p]
-        if not primes:
-            continue
-        per_chunk = max(32, math.ceil(len(primes) / (config.workers * 4)))
-        for lo in range(0, len(primes), per_chunk):
-            units.append((tuple(tids), q, tuple(primes[lo: lo + per_chunk])))
+            key = (tuple(constraints), min_p)
+            if key not in domains:
+                domains[key] = [p for p in primes_matching(config.p_max, constraints)
+                                if p > min_p]
+            for p in domains[key]:
+                work.setdefault(p, []).append((tid, q))
+    primes = sorted(work)
+    target = sum(primes) / (config.workers * 4)
+    units, unit, weight = [], [], 0
+    for p in primes:
+        unit.append((p, tuple(work[p])))
+        weight += p
+        if weight >= target:
+            units.append(tuple(unit))
+            unit, weight = [], 0
+    if unit:
+        units.append(tuple(unit))
     return units, skipped
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import CongruenceConstraint, is_prime, jacobi, legendre
+from .arith import CongruenceConstraint, is_prime, jacobi
 from .classnum import (class_number_dirichlet, hahn_lee_representation,
                        square_subgroup)
+from .context import PrimeContext, prime_context
 from .errors import RegimeError
 from .products import (block_counts, enlarged_block_index,
                        generalized_partial_products, partial_products,
@@ -21,6 +22,7 @@ from .verdict import Verdict, make_verdict
 
 __all__ = [
     "THEOREM_IDS",
+    "block_layout",
     "regime_q_reason",
     "scan_domain",
     "verify",
@@ -41,18 +43,27 @@ def _need(cond: bool, msg: str) -> None:
         raise RegimeError(msg)
 
 
-def _check_split_regime(p: int, q: int) -> None:
+def _context(p: int, msg: str) -> PrimeContext:
+    """The context of p; a p that has none lies outside every regime."""
+    try:
+        return prime_context(p)
+    except ValueError as exc:
+        raise RegimeError(f"{msg} ({exc})") from None
+
+
+def _check_split_regime(p: int, q: int) -> PrimeContext:
     """p == 3 (mod 4) prime with q an odd prime dividing p - 1 via p == 1 (mod q)."""
     _need(q >= 3 and q % 2 == 1 and is_prime(q), f"q={q}: need an odd prime")
-    _need(is_prime(p), f"p={p}: need a prime")
     _need(p % 4 == 3, f"p={p}: need p == 3 (mod 4)")
     _need(p % q == 1, f"p={p}, q={q}: need p == 1 (mod q)")
+    return _context(p, f"p={p}: need a prime")
 
 
 def verify_mordell(p: int, q: int | None = None) -> Verdict:
     """((p-1)/2)! == (-1)**((1 + h(-p))/2) (mod p) for primes p == 3 (mod 4), p > 3."""
-    _need(is_prime(p) and p > 3 and p % 4 == 3,
-          f"p={p}: need a prime p == 3 (mod 4) with p > 3")
+    msg = f"p={p}: need a prime p == 3 (mod 4) with p > 3"
+    _need(p > 3 and p % 4 == 3, msg)
+    _context(p, msg)
     half_fact = partial_products(p, 2).block(1)
     computed = {1: 1, p - 1: -1}.get(half_fact, half_fact)
     h = class_number_dirichlet(p).h
@@ -63,18 +74,18 @@ def verify_mordell(p: int, q: int | None = None) -> Verdict:
 
 def verify_theorem1(p: int, q: int) -> Verdict:
     """The product of the selected lower-half blocks is a quadratic residue."""
-    _check_split_regime(p, q)
+    ctx = _check_split_regime(p, q)
     value = theorem1_product(p, q)
-    return make_verdict("t1", p, q, 1, legendre(value, p),
+    return make_verdict("t1", p, q, 1, ctx.legendre(value),
                         detail=f"selected product = {value}")
 
 
 def verify_corollary(p: int, q: int) -> Verdict:
     """Evenly many of the selected blocks are nonresidues."""
-    _check_split_regime(p, q)
+    ctx = _check_split_regime(p, q)
     table = partial_products(p, q)
     ks = selected_block_indices(q)
-    syms = [legendre(table.block(k), p) for k in ks]
+    syms = [ctx.legendre(table.block(k)) for k in ks]
     parity = sum(1 for s in syms if s < 0) % 2
     detail = " ".join(f"k={k}:{s:+d}" for k, s in zip(ks, syms))
     if q == 7:
@@ -88,10 +99,11 @@ def verify_eq_a(p: int, q: int) -> Verdict:
     over the indices i with -i a square mod q."""
     _need(q > 3 and q % 4 == 3 and is_prime(q),
           f"q={q}: need a prime == 3 (mod 4), q > 3")
-    _need(is_prime(p) and p % q == 1 and p != q,
-          f"p={p}, q={q}: need a prime p == 1 (mod q)")
+    msg = f"p={p}, q={q}: need a prime p == 1 (mod q)"
+    _need(p % q == 1, msg)
+    ctx = _context(p, msg)
     rep = hahn_lee_representation(p, q)
-    lhs = legendre(rep.a, p)
+    lhs = ctx.legendre(rep.a)
     sub = square_subgroup(q)
     pref = partial_products(p, q).prefix_factorials()
     val = 1
@@ -99,7 +111,7 @@ def verify_eq_a(p: int, q: int) -> Verdict:
         val = val * pref[i - 1] % p
     if int(sub.beta) % 2:
         val = p - val
-    rhs = legendre(val, p)
+    rhs = ctx.legendre(val)
     return make_verdict(
         "eq_a", p, q, lhs, rhs,
         detail=f"a={rep.a} b={rep.b} h(-q)={rep.h} beta={int(sub.beta)} p%4={p % 4}")
@@ -109,17 +121,17 @@ def verify_theorem2(p: int, q: int) -> Verdict:
     """(a|p) == (-1)**((q+1)/4) in the doubly constrained regime, plus the
     bridge: the selected-block product and the product of the first (q-1)/2
     block factorials carry the same symbol."""
-    _need(q % 4 == 3 and is_prime(q), f"q={q}: need a prime == 3 (mod 4)")
-    _check_split_regime(p, q)
+    ctx = _check_split_regime(p, q)
+    _need(q % 4 == 3, f"q={q}: need a prime == 3 (mod 4)")
     rep = hahn_lee_representation(p, q)
     predicted_sym = -1 if ((q + 1) // 4) % 2 else 1
-    computed_sym = legendre(rep.a, p)
-    s_selected = legendre(theorem1_product(p, q), p)
+    computed_sym = ctx.legendre(rep.a)
+    s_selected = ctx.legendre(theorem1_product(p, q))
     pref = partial_products(p, q).prefix_factorials()
     val = 1
     for i in range(1, (q - 1) // 2 + 1):
         val = val * pref[i - 1] % p
-    bridge = 1 if s_selected == legendre(val, p) else 0
+    bridge = 1 if s_selected == ctx.legendre(val) else 0
     return make_verdict("t2", p, q, (predicted_sym, 1), (computed_sym, bridge),
                         detail=f"a={rep.a} b={rep.b} h(-q)={rep.h}")
 
@@ -134,11 +146,12 @@ def verify_theorem3(p: int, q: int) -> Verdict:
     predicted from q mod 16 and h(-p); also checks every block has
     (p-2)/q elements except the central one, which has one more."""
     _need(q >= 3 and q % 2 == 1 and is_prime(q), f"q={q}: need an odd prime")
-    _need(is_prime(p) and p > q, f"p={p}: need a prime > q")
+    _need(p > q, f"p={p}: need a prime > q")
     _need(p % 4 == 3, f"p={p}: need p == 3 (mod 4)")
     _need(p % q == 2, f"p={p}, q={q}: need p == 2 (mod q)")
+    ctx = _context(p, f"p={p}: need a prime > q")
     value = theorem1_product(p, q, generalized=True)
-    sym = legendre(value, p)
+    sym = ctx.legendre(value)
     h = class_number_dirichlet(p).h
     qm = q % 16
     if qm in _T3_PLUS:
@@ -164,11 +177,12 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     predicted from q mod 12 and h(-p); checks the two enlarged-block
     positions, the exact count identity, and its mod-2 reduction."""
     _need(q > 3 and q % 2 == 1 and is_prime(q), f"q={q}: need an odd prime > 3")
-    _need(is_prime(p) and p > q, f"p={p}: need a prime > q")
+    _need(p > q, f"p={p}: need a prime > q")
     _need(p % 4 == 3, f"p={p}: need p == 3 (mod 4)")
     _need(p % q == 3, f"p={p}, q={q}: need p == 3 (mod q)")
+    ctx = _context(p, f"p={p}: need a prime > q")
     value = theorem1_product(p, q, generalized=True)
-    sym = legendre(value, p)
+    sym = ctx.legendre(value)
     h = class_number_dirichlet(p).h
     qm = q % 12
     if qm in (1, 11):
@@ -192,7 +206,7 @@ def verify_theorem4(p: int, q: int) -> Verdict:
               for k in range(1, half + 1))
     jq3 = jacobi(q, 3)
     lhs = (Fraction(q * q - 1, 8) * Fraction(p - 3, 2 * q)
-           + Fraction(q - jq3, 12) - Fraction((q - legendre(q, p)) * h, 4))
+           + Fraction(q - jq3, 12) - Fraction((q - ctx.legendre(q)) * h, 4))
     identity_ok = 1 if lhs == rhs else 0
     reduced = (q - jq3) * (1 - 3 * h)
     parity_ok = 1 if reduced % 12 == 0 and (rhs - reduced // 12) % 2 == 0 else 0
@@ -204,10 +218,10 @@ def verify_theorem4(p: int, q: int) -> Verdict:
 def verify_eq2_parity(p: int, q: int) -> Verdict:
     """Exact count identities tying h(-p) to weighted block counts, and the
     evenness of the nonresidue count over odd-weight lower-half blocks."""
-    _check_split_regime(p, q)
+    ctx = _check_split_regime(p, q)
     counts = block_counts(p, q)
     h = class_number_dirichlet(p).h
-    s = legendre(q, p)
+    s = ctx.legendre(q)
     half = (q - 1) // 2
     weights = [(q + 1) // 2 - k for k in range(1, half + 1)]
     rhs_diff = sum((counts.residues[k - 1] - counts.nonresidues[k - 1]) * w
@@ -233,14 +247,14 @@ def _exact_int(fr: Fraction) -> int | str:
 def verify_symmetry(p: int, q: int) -> Verdict:
     """Block k and block q+1-k carry equal products; the central block and
     the full product are both nonresidues (the latter by Wilson)."""
-    _check_split_regime(p, q)
+    ctx = _check_split_regime(p, q)
     table = partial_products(p, q)
     vals = table.values
     mismatches = sum(1 for k in range(1, q + 1) if vals[k - 1] != vals[q - k])
     central_value = vals[(q + 1) // 2 - 1]
-    central = legendre(central_value, p)
+    central = ctx.legendre(central_value)
     full = table.full_product()
-    wilson = legendre(full, p)
+    wilson = ctx.legendre(full)
     return make_verdict("symmetry", p, q, (0, -1, -1),
                         (mismatches, central, wilson),
                         detail=f"central={central_value} full={full}")
@@ -288,6 +302,16 @@ def regime_q_reason(theorem_id: str, q: int | None) -> str | None:
     if theorem_id == "t4" and q == 3:
         return "q=3 has no enlarged-block layout"
     return None
+
+
+def block_layout(theorem_id: str, q: int | None) -> tuple[int, bool] | None:
+    """The block table (n, generalized) a verifier reads at (p, q), if any,
+    so that a scan can load every table of one prime in a single query."""
+    if theorem_id == "mordell":
+        return 2, False
+    if theorem_id == "eq2_parity":
+        return None
+    return q, theorem_id in ("t3", "t4")
 
 
 def scan_domain(theorem_id: str, q: int | None) -> tuple[list[CongruenceConstraint], int]:

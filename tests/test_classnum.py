@@ -77,6 +77,8 @@ def test_validation_errors():
         class_number_lemma1(23, 23)
     with pytest.raises(ValueError):
         class_number_lemma1(23, 4)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        class_number_lemma1(23, 2**31 + 11)     # prime, but the int64 sum needs q < 2**31
 
 
 def test_square_subgroup_data():

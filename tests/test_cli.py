@@ -8,6 +8,7 @@ from gaussprod.cli import main
 from gaussprod.scan import (ScanConfig, render_csv, render_human, render_json,
                             run_scan)
 from gaussprod.selftest import FIXTURES, run_selftest
+from gaussprod.theorems import THEOREM_IDS
 
 
 def run_cli(capsys, *argv):
@@ -185,8 +186,8 @@ def test_workers_env_var(monkeypatch, capsys):
 
 
 def test_scan_reports_identical_across_worker_counts():
-    base = dict(p_max=3000, theorems=("t1", "corollary", "eq2_parity",
-                                      "symmetry"), q_values=(3, 5, 7))
+    # all nine theorems, so the prime-major units mix every verifier
+    base = dict(p_max=3000, theorems=THEOREM_IDS, q_values=(3, 5, 7))
     r1 = run_scan(ScanConfig(workers=1, **base))
     r8 = run_scan(ScanConfig(workers=8, **base))
     j1 = json.loads(render_json(r1))

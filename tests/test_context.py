@@ -1,0 +1,86 @@
+import math
+from collections import Counter
+
+import pytest
+
+import gaussprod.context as context
+from gaussprod.context import PrimeContext, prime_context
+from gaussprod.products import load_block_tables, residue_mask
+from gaussprod.scan import ScanConfig, run_scan
+from gaussprod.theorems import THEOREM_IDS
+
+from oracles import naive_is_prime, naive_legendre, naive_partial_products
+
+ODD_PRIMES_600 = [p for p in range(3, 600) if naive_is_prime(p)]
+
+
+@pytest.fixture
+def empty_slot(monkeypatch):
+    monkeypatch.setattr(context, "_slot", None)
+
+
+def test_block_tables_match_naive_products(empty_slot):
+    # every layout of p comes from one batched query, as in a scan
+    for p in ODD_PRIMES_600:
+        qs = [q for q in ODD_PRIMES_600 if q < p]
+        layouts = ([(q, True) for q in qs]
+                   + [(q, False) for q in qs if p % q == 1])
+        tables = load_block_tables(p, layouts)
+        for (q, generalized), table in zip(layouts, tables):
+            want = naive_partial_products(p, q, generalized=generalized)
+            assert list(table.values) == want, (p, q, generalized)
+
+
+def test_half_factorial_matches_math_factorial():
+    for p in ODD_PRIMES_600:
+        ctx = PrimeContext(p)
+        half = (p - 1) // 2
+        assert int(ctx.factorials([half])[0]) == math.factorial(half) % p, p
+        xs = list(range(p))
+        assert ctx.factorials(xs).tolist() == [math.factorial(x) % p for x in xs]
+
+
+def test_legendre_matches_naive():
+    for p in ODD_PRIMES_600[:40]:
+        ctx = PrimeContext(p)
+        for a in range(-3, 2 * p + 1):
+            assert ctx.legendre(a) == naive_legendre(a, p), (p, a)
+
+
+def test_context_rejects_unsupported_p():
+    for bad in (1, 2, 9, 561):
+        with pytest.raises(ValueError, match="odd prime"):
+            PrimeContext(bad)
+    # 2**31 + 11 is prime but too large for the int64 kernel
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        PrimeContext(2**31 + 11)
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        residue_mask(2**31 + 11)
+
+
+def test_scan_config_rejects_p_max_above_2_31():
+    ScanConfig(p_max=2**31, theorems=("t1",))
+    with pytest.raises(ValueError, match="p_max"):
+        ScanConfig(p_max=2**31 + 1, theorems=("t1",))
+
+
+def test_slot_keeps_the_latest_context(empty_slot):
+    ctx = prime_context(43)
+    assert prime_context(43) is ctx
+    assert prime_context(47) is not ctx
+    assert prime_context(43) is not ctx
+
+
+def test_scan_builds_one_context_per_prime(monkeypatch, empty_slot):
+    built = Counter()
+
+    class Counting(PrimeContext):
+        def __init__(self, p):
+            built[p] += 1
+            super().__init__(p)
+
+    monkeypatch.setattr(context, "PrimeContext", Counting)
+    report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS,
+                                 q_values=(3, 5, 7, 11), workers=1))
+    assert set(built) == {v.p for v in report.verdicts}
+    assert set(built.values()) == {1}

@@ -10,7 +10,7 @@ from gaussprod import (block_counts, block_ranges, enlarged_block_index,
                        residue_cumulative_counts, residue_mask,
                        selected_block_indices, theorem1_product,
                        CongruenceConstraint)
-from gaussprod.products import _prod_range_mod
+from gaussprod.context import PrimeContext
 
 from oracles import (naive_block_counts, naive_block_ranges, naive_is_prime,
                      naive_partial_products)
@@ -79,14 +79,19 @@ def test_input_validation():
         partial_products(11, 5).block(6)
 
 
-def test_prod_range_numpy_and_python_paths_agree():
-    # short ranges take the scalar loop, long ones the pairwise reduction
+def test_range_products_match_scalar_loop():
+    # one query for all four ranges: the empty (37, 36), and at p = 101
+    # ranges that run past p - 1 and so hold a multiple of p
+    ranges = ((1, 5), (1, 200), (37, 36), (500, 5000))
     for p in (101, 99991):
-        for lo, hi in ((1, 5), (1, 200), (37, 36), (500, 5000)):
+        want = []
+        for lo, hi in ranges:
             scalar = 1
             for j in range(lo, hi + 1):
                 scalar = scalar * j % p
-            assert _prod_range_mod(lo, hi, p) == scalar
+            want.append(scalar)
+        lo, hi = zip(*ranges)
+        assert PrimeContext(p).range_products(lo, hi).tolist() == want
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
