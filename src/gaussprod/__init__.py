@@ -8,7 +8,7 @@ connecting all of these over exhaustive prime ranges.
 """
 
 from .arith import (CongruenceConstraint, is_prime, jacobi, legendre,
-                    multiplicative_order, mulmod, powmod, primes_matching)
+                    primes_matching)
 from .classnum import (ClassNumberResult, Representation, SquareSubgroupData,
                        beta_identity_check, class_number_dirichlet,
                        class_number_forms, class_number_lemma1,
@@ -55,10 +55,7 @@ __all__ = [
     "is_prime",
     "jacobi",
     "legendre",
-    "multiplicative_order",
-    "mulmod",
     "partial_products",
-    "powmod",
     "primes_matching",
     "regime_q_reason",
     "render_csv",

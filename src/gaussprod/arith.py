@@ -1,4 +1,4 @@
-"""Modular arithmetic primitives: residue symbols, orders, and prime generation."""
+"""Modular arithmetic primitives: primality, residue symbols, and prime generation."""
 
 from __future__ import annotations
 
@@ -12,9 +12,6 @@ __all__ = [
     "is_prime",
     "jacobi",
     "legendre",
-    "multiplicative_order",
-    "mulmod",
-    "powmod",
     "primes_matching",
     "sieve_primes",
 ]
@@ -27,22 +24,6 @@ SIEVE_LIMIT = 1 << 20
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def mulmod(a: int, b: int, m: int) -> int:
-    """(a * b) mod m, exact for operands of any size."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    return a * b % m
-
-
-def powmod(a: int, e: int, m: int) -> int:
-    """a**e mod m; powmod(a, 0, m) == 1 for every a."""
-    if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return pow(a, e, m)
 
 
 def is_prime(n: int) -> bool:
@@ -102,57 +83,6 @@ def jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def _pollard_rho(n: int) -> int:
-    """One nontrivial factor of composite odd n (Brent's cycle variant)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise ArithmeticError(f"rho failed to split {n}")
-
-
-def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization as {prime: exponent}."""
-    out: dict[int, int] = {}
-    for p in range(2, 1 << 10):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.extend((d, m // d))
-    return out
-
-
-def multiplicative_order(a: int, p: int) -> int:
-    """Order of a in the multiplicative group mod prime p."""
-    if not is_prime(p):
-        raise ValueError(f"modulus must be prime, got {p}")
-    a %= p
-    if a == 0:
-        raise ValueError("a must not be divisible by p")
-    d = p - 1
-    for f in _factorize(p - 1):
-        while d % f == 0 and pow(a, d // f, p) == 1:
-            d //= f
-    return d
-
-
 @dataclass(frozen=True)
 class CongruenceConstraint:
     """Candidates must satisfy n == residue (mod modulus)."""
@@ -166,9 +96,6 @@ class CongruenceConstraint:
         if not 0 <= self.residue < self.modulus:
             raise ValueError(
                 f"residue must lie in [0, {self.modulus}), got {self.residue}")
-
-    def holds(self, n: int) -> bool:
-        return n % self.modulus == self.residue
 
 
 def _crt_merge(constraints) -> tuple[int, int] | None:

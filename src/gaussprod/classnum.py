@@ -19,14 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
 from .arith import is_prime, jacobi
 from .context import P_LIMIT, PrimeContext, prime_context
 from .errors import InternalCheckError, RegimeError
-from .verdict import Verdict, make_verdict
+from .verdict import Verdict, _exact, make_verdict
 
 __all__ = [
     "ClassNumberResult",
@@ -46,12 +46,6 @@ class ClassNumberResult:
     p: int
     h: int
     method: str
-
-
-def _check_discriminant_prime(p: int, minimum: int = 7) -> None:
-    if p < minimum or p % 4 != 3 or not is_prime(p):
-        raise ValueError(
-            f"need a prime p == 3 (mod 4) with p >= {minimum}, got {p}")
 
 
 def _discriminant_context(p: int) -> PrimeContext:
@@ -107,7 +101,7 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     return ClassNumberResult(p=p, h=h, method=f"lemma1(q={q})")
 
 
-@lru_cache(maxsize=None)
+@cache
 def class_number_forms(p: int) -> ClassNumberResult:
     """h(-p) by counting reduced primitive forms A*x^2 + B*x*y + C*y^2.
 
@@ -117,7 +111,8 @@ def class_number_forms(p: int) -> ClassNumberResult:
     prime p.  p == 3 is accepted here (h(-3) = 1) because it is needed as an
     exponent by the norm-form representation.
     """
-    _check_discriminant_prime(p, minimum=3)
+    if p % 4 != 3 or not is_prime(p):
+        raise ValueError(f"need a prime p == 3 (mod 4), got {p}")
     count = 0
     for a in range(1, math.isqrt(p // 3) + 1):
         for b in range(-a + 1, a + 1):
@@ -143,7 +138,7 @@ class SquareSubgroupData:
     beta: Fraction
 
 
-@lru_cache(maxsize=1024)
+@cache
 def square_subgroup(q: int) -> SquareSubgroupData:
     """Square subgroup data for a prime q == 3 (mod 4).
 
@@ -171,12 +166,6 @@ def beta_identity_check(q: int) -> Verdict:
     rhs = Fraction(h + 1, 2) + Fraction(q - 3, 4)
     return make_verdict("beta", q, None, _exact(rhs), _exact(data.beta),
                         detail=f"h(-q)={h}, beta={data.beta}")
-
-
-def _exact(fr: Fraction) -> int | str:
-    """Integer when exact, else the fraction's text; strings never equal ints,
-    so a non-integer side shows up as a plain mismatch."""
-    return int(fr) if fr.denominator == 1 else str(fr)
 
 
 @dataclass(frozen=True)

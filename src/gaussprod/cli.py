@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from .arith import is_prime
+from .arith import primes_matching
 from .classnum import (class_number_dirichlet, class_number_forms,
                        class_number_lemma1, hahn_lee_representation,
                        square_subgroup)
@@ -97,7 +97,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     elif args.q_max is not None:
         if args.q_max < 3:
             raise ValueError(f"--q-max must be >= 3, got {args.q_max}")
-        q_values = tuple(n for n in range(3, args.q_max + 1, 2) if is_prime(n))
+        q_values = tuple(primes_matching(args.q_max + 1)[1:])
     config = ScanConfig(p_max=args.p_max, theorems=_parse_theorems(args.theorems),
                         q_values=q_values, workers=_resolve_workers(args.workers))
     report = run_scan(config)

@@ -22,8 +22,8 @@ from dataclasses import asdict, dataclass
 from .arith import is_prime, primes_matching
 from .context import P_LIMIT
 from .products import load_block_tables
-from .theorems import (THEOREM_IDS, _VERIFIERS, block_layout, regime_q_reason,
-                       scan_domain)
+from .theorems import (REGIMES, THEOREM_IDS, _VERIFIERS, block_layout,
+                       regime_q_reason, scan_domain)
 from .verdict import Verdict
 
 __all__ = [
@@ -83,11 +83,11 @@ class ScanReport:
 
 
 def _resolved_q(config: ScanConfig, theorem_id: str) -> tuple[int | None, ...]:
-    if theorem_id == "mordell":
+    if REGIMES[theorem_id].p_mod_q is None:
         return (None,)
     if config.q_values is not None:
         return config.q_values
-    return tuple(n for n in range(3, DEFAULT_Q_MAX + 1, 2) if is_prime(n))
+    return tuple(primes_matching(DEFAULT_Q_MAX + 1)[1:])
 
 
 def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
@@ -98,8 +98,7 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
         load_block_tables(p, [lay for lay in layouts if lay is not None])
         for tid, q in work:
             # looked up per call, so a replaced verifier takes effect at once
-            fn = _VERIFIERS[tid]
-            out.append(fn(p) if tid == "mordell" else fn(p, q))
+            out.append(_VERIFIERS[tid](p, q))
     return out
 
 

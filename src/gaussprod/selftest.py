@@ -50,15 +50,6 @@ def _compute_human(**kw) -> str:
 # (module, name, thunk, expected)
 FIXTURES: list[tuple[str, str, object, object]] = [
     # ---- arith ----
-    ("arith", "mulmod small", lambda: arith.mulmod(5, 6, 7), 2),
-    ("arith", "mulmod 64-bit operands stay exact",
-     lambda: arith.mulmod(2**63 - 1, 2**63 - 2, 2**64 - 59), 4611686018427388673),
-    ("arith", "mulmod rejects modulus 1",
-     lambda: _raises(ValueError, arith.mulmod, 1, 1, 1), True),
-    ("arith", "powmod", lambda: arith.powmod(5, 3, 7), 6),
-    ("arith", "powmod zero exponent", lambda: arith.powmod(0, 0, 7), 1),
-    ("arith", "powmod rejects negative exponent",
-     lambda: _raises(ValueError, arith.powmod, 2, -1, 7), True),
     ("arith", "is_prime 2", lambda: arith.is_prime(2), True),
     ("arith", "is_prime 1", lambda: arith.is_prime(1), False),
     ("arith", "is_prime carmichael 561", lambda: arith.is_prime(561), False),
@@ -75,12 +66,6 @@ FIXTURES: list[tuple[str, str, object, object]] = [
     ("arith", "jacobi 2 mod 15", lambda: arith.jacobi(2, 15), 1),
     ("arith", "jacobi shared factor", lambda: arith.jacobi(6, 9), 0),
     ("arith", "jacobi negative argument", lambda: arith.jacobi(-1, 7), -1),
-    ("arith", "order of 2 mod 7", lambda: arith.multiplicative_order(2, 7), 3),
-    ("arith", "order of 3 mod 7", lambda: arith.multiplicative_order(3, 7), 6),
-    ("arith", "order of 10 mod 17", lambda: arith.multiplicative_order(10, 17), 16),
-    ("arith", "order of 1", lambda: arith.multiplicative_order(1, 97), 1),
-    ("arith", "constraint holds", lambda: CongruenceConstraint(4, 3).holds(7), True),
-    ("arith", "constraint fails", lambda: CongruenceConstraint(4, 3).holds(9), False),
     ("arith", "primes matching two constraints",
      lambda: arith.primes_matching(50, [CongruenceConstraint(4, 3),
                                         CongruenceConstraint(3, 1)]),

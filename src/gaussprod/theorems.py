@@ -3,11 +3,13 @@
 Every verifier takes a concrete (p, q) in the regime of one claim, computes
 both sides independently, and returns a Verdict whose ``passed`` flag is
 exactly ``predicted == computed``.  Out-of-regime inputs raise RegimeError so
-sweep drivers can tell "not applicable" apart from "refuted".
+sweep drivers can tell "not applicable" apart from "refuted".  REGIMES states
+each claim's hypotheses once, for the verifiers and for the scan alike.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import CongruenceConstraint, is_prime, jacobi
@@ -15,13 +17,14 @@ from .classnum import (class_number_dirichlet, hahn_lee_representation,
                        square_subgroup)
 from .context import PrimeContext, prime_context
 from .errors import RegimeError
-from .products import (block_counts, enlarged_block_index,
-                       generalized_partial_products, partial_products,
+from .products import (block_counts, enlarged_block_index, partial_products,
                        selected_block_indices, theorem1_product)
-from .verdict import Verdict, make_verdict
+from .verdict import Verdict, _exact, make_verdict
 
 __all__ = [
+    "REGIMES",
     "THEOREM_IDS",
+    "Regime",
     "block_layout",
     "regime_q_reason",
     "scan_domain",
@@ -38,32 +41,101 @@ __all__ = [
 ]
 
 
-def _need(cond: bool, msg: str) -> None:
-    if not cond:
-        raise RegimeError(msg)
+@dataclass(frozen=True)
+class Regime:
+    """The hypotheses of one claim on (p, q).
+
+    q is an odd prime >= q_min, with q == q_mod_4 (mod 4) where that is set.
+    p is a prime > q with p == p_mod_q (mod q) and p == p_mod_4 (mod 4)
+    where those are set; a claim whose p_mod_q is None takes no q and needs
+    p > 3 instead.  blocks is the block table the verifier reads, "plain"
+    or "generalized" at n = q (the halves, n = 2, without q), or None.
+    """
+
+    p_mod_q: int | None
+    p_mod_4: int | None
+    q_min: int = 3
+    q_mod_4: int | None = None
+    blocks: str | None = "plain"
+
+    def p_classes(self, q: int | None) -> tuple[list[tuple[int, int]], int]:
+        """The (modulus, residue) classes p must lie in, and the strict
+        lower bound on p."""
+        classes = [] if self.p_mod_4 is None else [(4, self.p_mod_4)]
+        if self.p_mod_q is None:
+            return classes, 3
+        return classes + [(q, self.p_mod_q)], q
 
 
-def _context(p: int, msg: str) -> PrimeContext:
-    """The context of p; a p that has none lies outside every regime."""
+REGIMES = {
+    "mordell": Regime(p_mod_q=None, p_mod_4=3),
+    "t1": Regime(p_mod_q=1, p_mod_4=3),
+    "corollary": Regime(p_mod_q=1, p_mod_4=3),
+    "eq_a": Regime(p_mod_q=1, p_mod_4=None, q_min=5, q_mod_4=3),
+    "t2": Regime(p_mod_q=1, p_mod_4=3, q_mod_4=3),
+    "t3": Regime(p_mod_q=2, p_mod_4=3, blocks="generalized"),
+    "t4": Regime(p_mod_q=3, p_mod_4=3, q_min=5, blocks="generalized"),
+    "eq2_parity": Regime(p_mod_q=1, p_mod_4=3, blocks=None),
+    "symmetry": Regime(p_mod_q=1, p_mod_4=3),
+}
+
+
+def regime_q_reason(theorem_id: str, q: int | None) -> str | None:
+    """Why q alone rules a theorem out, or None if some p could be applicable."""
+    reg = REGIMES[theorem_id]
+    if reg.p_mod_q is None:
+        return None
+    if q is None:
+        return "need a q"
+    if q < 3 or q % 2 == 0 or not is_prime(q):
+        return f"q={q}: need an odd prime"
+    if q < reg.q_min:
+        return f"q={q}: need q >= {reg.q_min}"
+    if reg.q_mod_4 is not None and q % 4 != reg.q_mod_4:
+        return f"q={q}: need q == {reg.q_mod_4} (mod 4)"
+    return None
+
+
+def scan_domain(theorem_id: str, q: int | None) -> tuple[list[CongruenceConstraint], int]:
+    """Prime-enumeration recipe for one theorem at one q: CRT constraints
+    plus a strict lower bound on p.  Callers must have cleared
+    regime_q_reason first."""
+    classes, min_p = REGIMES[theorem_id].p_classes(q)
+    return [CongruenceConstraint(m, r) for m, r in classes], min_p
+
+
+def block_layout(theorem_id: str, q: int | None) -> tuple[int, bool] | None:
+    """The block table (n, generalized) a verifier reads at (p, q), if any,
+    so that a scan can load every table of one prime in a single query."""
+    reg = REGIMES[theorem_id]
+    if reg.blocks is None:
+        return None
+    return (2 if reg.p_mod_q is None else q), reg.blocks == "generalized"
+
+
+def _check_regime(theorem_id: str, p: int, q: int | None) -> PrimeContext:
+    """The context of p once (p, q) meets the theorem's regime; otherwise
+    RegimeError, naming the theorem and the first broken hypothesis."""
+    reason = regime_q_reason(theorem_id, q)
+    if reason is not None:
+        raise RegimeError(f"{theorem_id}: {reason}")
+    classes, min_p = REGIMES[theorem_id].p_classes(q)
+    for modulus, residue in classes:
+        if p % modulus != residue:
+            raise RegimeError(
+                f"{theorem_id}: p={p}: need p == {residue} (mod {modulus})")
+    if p <= min_p:
+        raise RegimeError(f"{theorem_id}: p={p}: need p > {min_p}")
     try:
         return prime_context(p)
     except ValueError as exc:
-        raise RegimeError(f"{msg} ({exc})") from None
-
-
-def _check_split_regime(p: int, q: int) -> PrimeContext:
-    """p == 3 (mod 4) prime with q an odd prime dividing p - 1 via p == 1 (mod q)."""
-    _need(q >= 3 and q % 2 == 1 and is_prime(q), f"q={q}: need an odd prime")
-    _need(p % 4 == 3, f"p={p}: need p == 3 (mod 4)")
-    _need(p % q == 1, f"p={p}, q={q}: need p == 1 (mod q)")
-    return _context(p, f"p={p}: need a prime")
+        raise RegimeError(f"{theorem_id}: {exc}") from None
 
 
 def verify_mordell(p: int, q: int | None = None) -> Verdict:
-    """((p-1)/2)! == (-1)**((1 + h(-p))/2) (mod p) for primes p == 3 (mod 4), p > 3."""
-    msg = f"p={p}: need a prime p == 3 (mod 4) with p > 3"
-    _need(p > 3 and p % 4 == 3, msg)
-    _context(p, msg)
+    """((p-1)/2)! == (-1)**((1 + h(-p))/2) (mod p) for primes p == 3 (mod 4),
+    p > 3; the claim takes no q, so q is ignored."""
+    _check_regime("mordell", p, None)
     half_fact = partial_products(p, 2).block(1)
     computed = {1: 1, p - 1: -1}.get(half_fact, half_fact)
     h = class_number_dirichlet(p).h
@@ -74,7 +146,7 @@ def verify_mordell(p: int, q: int | None = None) -> Verdict:
 
 def verify_theorem1(p: int, q: int) -> Verdict:
     """The product of the selected lower-half blocks is a quadratic residue."""
-    ctx = _check_split_regime(p, q)
+    ctx = _check_regime("t1", p, q)
     value = theorem1_product(p, q)
     return make_verdict("t1", p, q, 1, ctx.legendre(value),
                         detail=f"selected product = {value}")
@@ -82,7 +154,7 @@ def verify_theorem1(p: int, q: int) -> Verdict:
 
 def verify_corollary(p: int, q: int) -> Verdict:
     """Evenly many of the selected blocks are nonresidues."""
-    ctx = _check_split_regime(p, q)
+    ctx = _check_regime("corollary", p, q)
     table = partial_products(p, q)
     ks = selected_block_indices(q)
     syms = [ctx.legendre(table.block(k)) for k in ks]
@@ -97,11 +169,7 @@ def verify_corollary(p: int, q: int) -> Verdict:
 def verify_eq_a(p: int, q: int) -> Verdict:
     """Norm-form side (a|p) against the signed product of block factorials
     over the indices i with -i a square mod q."""
-    _need(q > 3 and q % 4 == 3 and is_prime(q),
-          f"q={q}: need a prime == 3 (mod 4), q > 3")
-    msg = f"p={p}, q={q}: need a prime p == 1 (mod q)"
-    _need(p % q == 1, msg)
-    ctx = _context(p, msg)
+    ctx = _check_regime("eq_a", p, q)
     rep = hahn_lee_representation(p, q)
     lhs = ctx.legendre(rep.a)
     sub = square_subgroup(q)
@@ -121,8 +189,7 @@ def verify_theorem2(p: int, q: int) -> Verdict:
     """(a|p) == (-1)**((q+1)/4) in the doubly constrained regime, plus the
     bridge: the selected-block product and the product of the first (q-1)/2
     block factorials carry the same symbol."""
-    ctx = _check_split_regime(p, q)
-    _need(q % 4 == 3, f"q={q}: need a prime == 3 (mod 4)")
+    ctx = _check_regime("t2", p, q)
     rep = hahn_lee_representation(p, q)
     predicted_sym = -1 if ((q + 1) // 4) % 2 else 1
     computed_sym = ctx.legendre(rep.a)
@@ -145,11 +212,7 @@ def verify_theorem3(p: int, q: int) -> Verdict:
     """Symbol of the selected generalized-block product when p == 2 (mod q),
     predicted from q mod 16 and h(-p); also checks every block has
     (p-2)/q elements except the central one, which has one more."""
-    _need(q >= 3 and q % 2 == 1 and is_prime(q), f"q={q}: need an odd prime")
-    _need(p > q, f"p={p}: need a prime > q")
-    _need(p % 4 == 3, f"p={p}: need p == 3 (mod 4)")
-    _need(p % q == 2, f"p={p}, q={q}: need p == 2 (mod q)")
-    ctx = _context(p, f"p={p}: need a prime > q")
+    ctx = _check_regime("t3", p, q)
     value = theorem1_product(p, q, generalized=True)
     sym = ctx.legendre(value)
     h = class_number_dirichlet(p).h
@@ -176,11 +239,7 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     """Symbol of the selected generalized-block product when p == 3 (mod q),
     predicted from q mod 12 and h(-p); checks the two enlarged-block
     positions, the exact count identity, and its mod-2 reduction."""
-    _need(q > 3 and q % 2 == 1 and is_prime(q), f"q={q}: need an odd prime > 3")
-    _need(p > q, f"p={p}: need a prime > q")
-    _need(p % 4 == 3, f"p={p}: need p == 3 (mod 4)")
-    _need(p % q == 3, f"p={p}, q={q}: need p == 3 (mod q)")
-    ctx = _context(p, f"p={p}: need a prime > q")
+    ctx = _check_regime("t4", p, q)
     value = theorem1_product(p, q, generalized=True)
     sym = ctx.legendre(value)
     h = class_number_dirichlet(p).h
@@ -218,7 +277,7 @@ def verify_theorem4(p: int, q: int) -> Verdict:
 def verify_eq2_parity(p: int, q: int) -> Verdict:
     """Exact count identities tying h(-p) to weighted block counts, and the
     evenness of the nonresidue count over odd-weight lower-half blocks."""
-    ctx = _check_split_regime(p, q)
+    ctx = _check_regime("eq2_parity", p, q)
     counts = block_counts(p, q)
     h = class_number_dirichlet(p).h
     s = ctx.legendre(q)
@@ -233,21 +292,16 @@ def verify_eq2_parity(p: int, q: int) -> Verdict:
     lhs_diff = Fraction((q - s) * h, 2)
     lhs_nonres = (Fraction(q * q - 1, 8) * Fraction(p - 1, 2 * q)
                   - Fraction((q - s) * h, 4))
-    predicted = (_exact_int(lhs_diff), _exact_int(lhs_nonres), 0)
+    predicted = (_exact(lhs_diff), _exact(lhs_nonres), 0)
     computed = (rhs_diff, rhs_nonres, parity)
     return make_verdict("eq2_parity", p, q, predicted, computed,
                         detail=f"h(-p)={h} (q|p)={s:+d}")
 
 
-def _exact_int(fr: Fraction) -> int | str:
-    # a non-integer side surfaces as a string, which never equals the int side
-    return int(fr) if fr.denominator == 1 else str(fr)
-
-
 def verify_symmetry(p: int, q: int) -> Verdict:
     """Block k and block q+1-k carry equal products; the central block and
     the full product are both nonresidues (the latter by Wilson)."""
-    ctx = _check_split_regime(p, q)
+    ctx = _check_regime("symmetry", p, q)
     table = partial_products(p, q)
     vals = table.values
     mismatches = sum(1 for k in range(1, q + 1) if vals[k - 1] != vals[q - k])
@@ -276,55 +330,9 @@ THEOREM_IDS = tuple(sorted(_VERIFIERS))
 
 
 def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
-    """Dispatch one check by id; see THEOREM_IDS for the valid names."""
+    """Dispatch one check by id; see THEOREM_IDS for the valid names.  A
+    claim that takes no q ignores it."""
     if theorem_id not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"valid: {', '.join(THEOREM_IDS)}")
-    if theorem_id == "mordell":
-        return verify_mordell(p)
-    if q is None:
-        raise ValueError(f"{theorem_id} needs q")
     return _VERIFIERS[theorem_id](p, q)
-
-
-def regime_q_reason(theorem_id: str, q: int | None) -> str | None:
-    """Why q alone rules a theorem out, or None if some p could be applicable."""
-    if theorem_id == "mordell":
-        return None
-    if q is None:
-        return "needs q"
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        return f"q={q} is not an odd prime"
-    if theorem_id in ("eq_a", "t2") and q % 4 != 3:
-        return f"q={q} is not 3 mod 4"
-    if theorem_id == "eq_a" and q == 3:
-        return "q=3 sits outside the representation identity"
-    if theorem_id == "t4" and q == 3:
-        return "q=3 has no enlarged-block layout"
-    return None
-
-
-def block_layout(theorem_id: str, q: int | None) -> tuple[int, bool] | None:
-    """The block table (n, generalized) a verifier reads at (p, q), if any,
-    so that a scan can load every table of one prime in a single query."""
-    if theorem_id == "mordell":
-        return 2, False
-    if theorem_id == "eq2_parity":
-        return None
-    return q, theorem_id in ("t3", "t4")
-
-
-def scan_domain(theorem_id: str, q: int | None) -> tuple[list[CongruenceConstraint], int]:
-    """Prime-enumeration recipe for one theorem at one q: CRT constraints
-    plus a strict lower bound on p.  Callers must have cleared
-    regime_q_reason first."""
-    if theorem_id == "mordell":
-        return [CongruenceConstraint(4, 3)], 3
-    assert q is not None
-    if theorem_id == "eq_a":
-        return [CongruenceConstraint(q, 1)], q
-    if theorem_id == "t3":
-        return [CongruenceConstraint(4, 3), CongruenceConstraint(q, 2)], q
-    if theorem_id == "t4":
-        return [CongruenceConstraint(4, 3), CongruenceConstraint(q, 3)], q
-    return [CongruenceConstraint(4, 3), CongruenceConstraint(q, 1)], q

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -27,3 +28,9 @@ def make_verdict(theorem_id: str, p: int, q: int | None,
                  predicted: object, computed: object, detail: str = "") -> Verdict:
     return Verdict(theorem_id=theorem_id, p=p, q=q, predicted=predicted,
                    computed=computed, passed=predicted == computed, detail=detail)
+
+
+def _exact(fr: Fraction) -> int | str:
+    """Integer when exact, else the fraction's text; strings never equal ints,
+    so a non-integer side shows up as a plain mismatch."""
+    return int(fr) if fr.denominator == 1 else str(fr)

@@ -82,12 +82,3 @@ def naive_representations(p: int, q: int, h: int):
                 if a % q == 2:
                     out.append((a, b))
     return out
-
-
-def naive_multiplicative_order(a: int, p: int) -> int:
-    x = a % p
-    k = 1
-    while x != 1:
-        x = x * a % p
-        k += 1
-    return k

@@ -1,54 +1,14 @@
-import math
-
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gaussprod import (CongruenceConstraint, is_prime, jacobi, legendre,
-                       multiplicative_order, mulmod, powmod, primes_matching)
+                       primes_matching)
 from gaussprod.arith import sieve_primes
 
-from oracles import naive_is_prime, naive_legendre, naive_multiplicative_order
+from oracles import naive_is_prime, naive_legendre
 
 ODD_PRIMES = [p for p in range(3, 400) if naive_is_prime(p)]
-
-
-def test_mulmod_matches_plain_arithmetic():
-    assert mulmod(5, 6, 7) == 2
-    assert mulmod(0, 9, 11) == 0
-    big = 2**63 - 1
-    assert mulmod(big, big - 1, 2**64 - 59) == big * (big - 1) % (2**64 - 59)
-
-
-@pytest.mark.parametrize("m", [1, 0, -4])
-def test_mulmod_rejects_bad_modulus(m):
-    with pytest.raises(ValueError):
-        mulmod(1, 1, m)
-
-
-@given(st.integers(min_value=0, max_value=10**30),
-       st.integers(min_value=0, max_value=10**30),
-       st.integers(min_value=2, max_value=10**18))
-def test_mulmod_agrees_with_bigint(a, b, m):
-    assert mulmod(a, b, m) == a * b % m
-
-
-def test_powmod_basics():
-    assert powmod(5, 3, 7) == 6
-    assert powmod(0, 0, 13) == 1
-    assert powmod(7, 1, 7) == 0
-    with pytest.raises(ValueError):
-        powmod(2, -1, 7)
-    with pytest.raises(ValueError):
-        powmod(2, 3, 1)
-
-
-@given(st.integers(min_value=0, max_value=10**9),
-       st.integers(min_value=0, max_value=500),
-       st.integers(min_value=0, max_value=500),
-       st.integers(min_value=2, max_value=10**9))
-def test_powmod_is_multiplicative_in_the_exponent(a, e1, e2, m):
-    assert powmod(a, e1 + e2, m) == powmod(a, e1, m) * powmod(a, e2, m) % m
 
 
 def test_is_prime_against_trial_division():
@@ -96,30 +56,6 @@ def test_jacobi_rejects_even_or_nonpositive_modulus():
             jacobi(3, bad)
 
 
-def test_multiplicative_order_small():
-    for p in ODD_PRIMES[:15]:
-        for a in range(1, p):
-            assert multiplicative_order(a, p) == naive_multiplicative_order(a, p)
-
-
-def test_multiplicative_order_divides_group_order():
-    p = 99991
-    for a in (2, 3, 5, 7, 11, 98765):
-        assert (p - 1) % multiplicative_order(a, p) == 0
-
-
-def test_multiplicative_order_rejects_zero():
-    with pytest.raises(ValueError):
-        multiplicative_order(14, 7)
-    with pytest.raises(ValueError):
-        multiplicative_order(2, 10)
-
-
-def test_order_of_minus_one_is_two():
-    for p in ODD_PRIMES[:10]:
-        assert multiplicative_order(p - 1, p) == 2
-
-
 def test_sieve_matches_trial_division():
     got = list(sieve_primes(500))
     want = [n for n in range(500) if naive_is_prime(n)]
@@ -131,7 +67,6 @@ def test_congruence_constraint_validation():
         CongruenceConstraint(1, 0)
     with pytest.raises(ValueError):
         CongruenceConstraint(4, 4)
-    assert CongruenceConstraint(4, 3).holds(7)
 
 
 def test_primes_matching_example():

@@ -144,6 +144,23 @@ def test_compute_verdict_pass_and_fail_codes(capsys):
     assert code == 2
 
 
+def test_compute_verdict_regime_error_names_theorem(capsys):
+    code, out, err = run_cli(capsys, "compute", "--what", "verdict",
+                             "--theorem", "t1", "--p", "13", "--q", "3")
+    assert code == 2 and out == ""
+    assert err == "error: t1: p=13: need p == 3 (mod 4)\n"
+
+
+def test_scan_q_max_takes_every_odd_prime(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--p-max", "100", "--q-max", "13",
+                           "--theorems", "t1,eq_a", "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"]["q"] == {"t1": [3, 5, 7, 11, 13],
+                                     "eq_a": [3, 5, 7, 11, 13]}
+    assert report["totals"]["eq_a"]["skipped_q"] == 3   # 3, 5 and 13
+
+
 def test_compute_usage_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "--what", "products", "--p", "7")
     assert code == 2 and "needs --q" in err

@@ -6,7 +6,7 @@ from gaussprod import (CongruenceConstraint, RegimeError, THEOREM_IDS,
                        verify_eq2_parity, verify_eq_a, verify_mordell,
                        verify_symmetry, verify_theorem1, verify_theorem2,
                        verify_theorem3, verify_theorem4)
-from gaussprod.theorems import scan_domain
+from gaussprod.theorems import REGIMES, scan_domain
 
 
 def split_pairs(qs, p_max):
@@ -44,7 +44,7 @@ def test_mordell_against_direct_factorial():
 
 def test_mordell_regime():
     for bad in (3, 13, 15, 2):
-        with pytest.raises(RegimeError):
+        with pytest.raises(RegimeError, match="^mordell: "):
             verify_mordell(bad)
 
 
@@ -66,13 +66,13 @@ def test_corollary_q7_pair_shares_symbol():
 
 
 def test_t1_regime_errors():
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match=r"^t1: p=13: need p == 3 \(mod 4\)"):
         verify_theorem1(13, 3)     # 13 = 1 mod 4
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match=r"^t1: p=11: need p == 1 \(mod 3\)"):
         verify_theorem1(11, 3)     # 11 = 2 mod 3
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="^t1: .*odd prime"):
         verify_theorem1(15, 7)     # composite
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="^t1: q=9: need an odd prime"):
         verify_theorem1(7, 9)      # q composite
 
 
@@ -97,11 +97,11 @@ def test_eq_a_covers_both_residue_classes_mod_4():
 
 
 def test_eq_a_regime_errors():
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="^eq_a: q=3: need q >= 5"):
         verify_eq_a(7, 3)         # q=3 excluded
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match=r"^eq_a: q=5: need q == 3 \(mod 4\)"):
         verify_eq_a(11, 5)        # q = 1 mod 4
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match=r"^eq_a: p=13: need p == 1 \(mod 7\)"):
         verify_eq_a(13, 7)        # 13 = 6 mod 7
 
 
@@ -150,9 +150,9 @@ def test_t3_covers_every_mod16_branch():
 
 
 def test_t3_regime_errors():
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match=r"^t3: p=13: need p == 3 \(mod 4\)"):
         verify_theorem3(13, 11)    # 13 = 1 mod 4
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match=r"^t3: p=19: need p == 2 \(mod 3\)"):
         verify_theorem3(19, 3)     # 19 = 1 mod 3
     assert verify_theorem3(23, 3).passed   # 23 = 2 mod 3 is in regime
 
@@ -170,10 +170,14 @@ def test_t4_frozen_and_range():
 
 
 def test_t4_regime_errors():
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match="^t4: q=3: need q >= 5"):
         verify_theorem4(31, 3)     # q = 3 excluded
-    with pytest.raises(RegimeError):
+    with pytest.raises(RegimeError, match=r"^t4: p=29: need p == 3 \(mod 4\)"):
         verify_theorem4(29, 13)    # 29 = 1 mod 4
+    with pytest.raises(RegimeError, match=r"^t4: p=31: need p == 3 \(mod 5\)"):
+        verify_theorem4(31, 5)     # 31 = 1 mod 5
+    with pytest.raises(RegimeError, match="^t4: p=3: need p > 5"):
+        verify_theorem4(3, 5)      # 3 = 3 mod 5, but p must exceed q
 
 
 def test_eq2_parity_frozen_values():
@@ -206,11 +210,12 @@ def test_dispatch():
     assert verify("t1", 7, 3).passed
     with pytest.raises(ValueError):
         verify("nope", 7, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(RegimeError, match="^t1: need a q"):
         verify("t1", 7)            # missing q
 
 
 def test_regime_q_reason():
+    assert set(REGIMES) == set(THEOREM_IDS)
     assert regime_q_reason("mordell", None) is None
     assert regime_q_reason("t1", 4) is not None
     assert regime_q_reason("t1", 9) is not None
@@ -224,18 +229,24 @@ def test_regime_q_reason():
 
 
 def test_scan_domain_constraints_match_verifier_regimes():
-    # every prime produced by the domain recipe must be accepted by the
-    # verifier, for each theorem and a couple of q
-    cases = [("mordell", None), ("t1", 5), ("corollary", 7), ("t2", 7),
-             ("eq_a", 7), ("t3", 7), ("t4", 7), ("eq2_parity", 3),
-             ("symmetry", 3)]
-    for tid, q in cases:
-        constraints, min_p = scan_domain(tid, q)
-        ps = [p for p in primes_matching(400, constraints) if p > min_p]
-        assert ps, (tid, q)
-        for p in ps:
-            v = verify(tid, p, q)   # must not raise RegimeError
-            assert v.theorem_id == tid
+    # both directions: verify raises RegimeError exactly when q is ruled out
+    # or p is not among the primes of the domain recipe
+    qs = (1, 2, 3, 5, 7, 9, 11, 13, 15, 19, 23, 31)
+    for tid in THEOREM_IDS:
+        for q in ((None,) if tid == "mordell" else qs):
+            domain = set()
+            if regime_q_reason(tid, q) is None:
+                constraints, min_p = scan_domain(tid, q)
+                domain = {p for p in primes_matching(600, constraints) if p > min_p}
+            for p in range(2, 600):
+                try:
+                    v = verify(tid, p, q)
+                except RegimeError as exc:
+                    assert p not in domain, (tid, p, q, exc)
+                    assert str(exc).startswith(f"{tid}: "), exc
+                else:
+                    assert p in domain, (tid, p, q)
+                    assert v.theorem_id == tid and v.p == p
 
 
 def test_verdict_pass_flag_is_equality():
