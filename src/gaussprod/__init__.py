@@ -7,8 +7,7 @@ class numbers h(-p) by three independent methods, norm-form representations
 connecting all of these over exhaustive prime ranges.
 """
 
-from .arith import (CongruenceConstraint, is_prime, jacobi, legendre,
-                    primes_matching)
+from .arith import CongruenceConstraint, is_prime, legendre, primes_matching
 from .classnum import (ClassNumberResult, Representation, SquareSubgroupData,
                        beta_identity_check, class_number_dirichlet,
                        class_number_forms, class_number_lemma1,
@@ -53,7 +52,6 @@ __all__ = [
     "generalized_partial_products",
     "hahn_lee_representation",
     "is_prime",
-    "jacobi",
     "legendre",
     "partial_products",
     "primes_matching",

@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "CongruenceConstraint",
     "is_prime",
-    "jacobi",
     "legendre",
     "primes_matching",
     "sieve_primes",
@@ -65,24 +64,6 @@ def legendre(a: int, p: int) -> int:
     raise ArithmeticError(f"euler criterion gave {t} for a={a}, p={p}")
 
 
-def jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a|n) via quadratic reciprocity.  n must be odd, positive."""
-    if n <= 0 or n % 2 == 0:
-        raise ValueError(f"jacobi needs an odd positive modulus, got {n}")
-    a %= n
-    sign = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            sign = -sign
-        a %= n
-    return sign if n == 1 else 0
-
-
 @dataclass(frozen=True)
 class CongruenceConstraint:
     """Candidates must satisfy n == residue (mod modulus)."""
@@ -125,7 +106,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.nonzero(~comp)[0].astype(np.int64)
 
 
-def primes_matching(limit: int, constraints=(), sieve_limit: int = SIEVE_LIMIT) -> list[int]:
+def primes_matching(limit: int, constraints=()) -> list[int]:
     """Ascending primes < limit satisfying every constraint.
 
     Contradictory constraints (e.g. even residue mod an even modulus plus
@@ -137,13 +118,13 @@ def primes_matching(limit: int, constraints=(), sieve_limit: int = SIEVE_LIMIT) 
     if merged is None:
         return []
     r, m = merged
-    head = min(limit, sieve_limit)
+    head = min(limit, SIEVE_LIMIT)
     ps = sieve_primes(head)
     if m > 1:
         ps = ps[ps % m == r]
     out = [int(p) for p in ps]
-    if limit > sieve_limit:
-        start = sieve_limit + (r - sieve_limit) % m
+    if limit > SIEVE_LIMIT:
+        start = SIEVE_LIMIT + (r - SIEVE_LIMIT) % m
         for n in range(start, limit, m):
             if is_prime(n):
                 out.append(n)

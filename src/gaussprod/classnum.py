@@ -23,7 +23,7 @@ from functools import cache
 
 import numpy as np
 
-from .arith import is_prime, jacobi
+from .arith import is_prime
 from .context import P_LIMIT, PrimeContext, prime_context
 from .errors import InternalCheckError, RegimeError
 from .verdict import Verdict, _exact, make_verdict
@@ -61,7 +61,7 @@ def class_number_dirichlet(p: int) -> ClassNumberResult:
     if ctx.class_number is None:
         half = (p - 1) // 2
         char_sum = 2 * int(ctx.cum[half]) - half
-        denom = 2 - jacobi(2, p)
+        denom = 2 - ctx.legendre(2)
         if char_sum % denom:
             raise InternalCheckError(
                 f"half-interval character sum {char_sum} not divisible by {denom} at p={p}")
@@ -91,7 +91,7 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     chi = np.where(ctx.mask[a], np.int64(1), np.int64(-1))
     w = (q - 1) - 2 * ((a * q) // p)
     total = int((chi * w).sum())
-    denom = q - jacobi(q, p)
+    denom = q - ctx.legendre(q)
     if total % denom:
         raise InternalCheckError(
             f"weighted character sum {total} not divisible by {denom} at p={p}, q={q}")

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .arith import is_prime, jacobi
+from .arith import is_prime, legendre
 from .context import prime_context
 
 __all__ = [
@@ -176,16 +176,11 @@ def theorem1_product(p: int, q: int, generalized: bool = False) -> int:
 def enlarged_block_index(q: int) -> int:
     """Lower-half index whose block is one longer when p == 3 (mod q), q > 3.
 
-    Evaluates (q + 2 + ((q|3) - 1)/2) / 3, which must be an integer equal to
-    ceil(q/3); a non-integer or out-of-range value raises ArithmeticError so
-    sweeps can surface it as a failed check instead of silently rounding.
+    Evaluates (q + 2 + ((q|3) - 1)/2) / 3.  For a prime q > 3 the numerator
+    2(q + 2) + (q|3) - 1 is 2(q + 2) or 2(q + 1), so the index is always
+    ceil(q/3), in 2..(q-1)/2; verify_theorem4 checks it against the
+    measured block sizes, so a wrong index shows as a failed verdict.
     """
     if q <= 3 or not is_prime(q):
         raise ValueError(f"q must be a prime > 3, got {q}")
-    num = 2 * (q + 2) + (jacobi(q, 3) - 1)
-    if num % 6:
-        raise ArithmeticError(f"enlarged-block index is not an integer at q={q}")
-    k = num // 6
-    if not 1 <= k <= (q - 1) // 2:
-        raise ArithmeticError(f"enlarged-block index {k} out of range at q={q}")
-    return k
+    return (2 * (q + 2) + legendre(q, 3) - 1) // 6

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CongruenceConstraint, is_prime, jacobi
+from .arith import CongruenceConstraint, is_prime, legendre
 from .classnum import (class_number_dirichlet, hahn_lee_representation,
                        square_subgroup)
 from .context import PrimeContext, prime_context
@@ -250,20 +250,15 @@ def verify_theorem4(p: int, q: int) -> Verdict:
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
     counts = block_counts(p, q, generalized=True)
     base = (p - 3) // q
-    try:
-        kstar = enlarged_block_index(q)
-        enlarged = {kstar, q + 1 - kstar}
-        sizes_ok = 1 if all(
-            counts.block_size(k) == base + (1 if k in enlarged else 0)
-            for k in range(1, q + 1)) else 0
-        knote = f"k*={kstar}"
-    except ArithmeticError as exc:
-        sizes_ok = 0
-        knote = str(exc)
+    kstar = enlarged_block_index(q)
+    enlarged = {kstar, q + 1 - kstar}
+    sizes_ok = 1 if all(
+        counts.block_size(k) == base + (1 if k in enlarged else 0)
+        for k in range(1, q + 1)) else 0
     half = (q - 1) // 2
     rhs = sum(counts.nonresidues[k - 1] * ((q + 1) // 2 - k)
               for k in range(1, half + 1))
-    jq3 = jacobi(q, 3)
+    jq3 = legendre(q, 3)
     lhs = (Fraction(q * q - 1, 8) * Fraction(p - 3, 2 * q)
            + Fraction(q - jq3, 12) - Fraction((q - ctx.legendre(q)) * h, 4))
     identity_ok = 1 if lhs == rhs else 0
@@ -271,7 +266,7 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     parity_ok = 1 if reduced % 12 == 0 and (rhs - reduced // 12) % 2 == 0 else 0
     return make_verdict("t4", p, q, (predicted_sym, 1, 1, 1),
                         (sym, sizes_ok, identity_ok, parity_ok),
-                        detail=f"product={value} h(-p)={h} q%12={qm} {knote}")
+                        detail=f"product={value} h(-p)={h} q%12={qm} k*={kstar}")
 
 
 def verify_eq2_parity(p: int, q: int) -> Verdict:

@@ -1,10 +1,7 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from gaussprod import (CongruenceConstraint, is_prime, jacobi, legendre,
-                       primes_matching)
-from gaussprod.arith import sieve_primes
+from gaussprod import CongruenceConstraint, is_prime, legendre, primes_matching
+from gaussprod.arith import SIEVE_LIMIT, sieve_primes
 
 from oracles import naive_is_prime, naive_legendre
 
@@ -36,24 +33,6 @@ def test_legendre_rejects_non_prime_modulus():
     for bad in (1, 2, 9, 15, 21):
         with pytest.raises(ValueError):
             legendre(2, bad)
-
-
-@given(st.sampled_from(ODD_PRIMES), st.integers(min_value=-10**9, max_value=10**9))
-def test_jacobi_equals_legendre_on_primes(p, a):
-    assert jacobi(a, p) == legendre(a, p)
-
-
-@given(st.integers(min_value=-10**6, max_value=10**6),
-       st.integers(min_value=-10**6, max_value=10**6),
-       st.sampled_from([n for n in range(3, 200, 2)]))
-def test_jacobi_is_completely_multiplicative(a, b, n):
-    assert jacobi(a * b, n) == jacobi(a, n) * jacobi(b, n)
-
-
-def test_jacobi_rejects_even_or_nonpositive_modulus():
-    for bad in (0, -3, 4, 10):
-        with pytest.raises(ValueError):
-            jacobi(3, bad)
 
 
 def test_sieve_matches_trial_division():
@@ -89,10 +68,13 @@ def test_primes_matching_contradiction_is_empty():
 
 
 def test_primes_matching_crosses_sieve_boundary():
-    # force the CRT-stepping path with a tiny sieve cutoff
-    cons = [CongruenceConstraint(4, 3)]
-    got = primes_matching(2000, cons, sieve_limit=100)
-    want = [n for n in range(2, 2000) if naive_is_prime(n) and n % 4 == 3]
+    # the sieve ends at SIEVE_LIMIT; above it the CRT-merged class is stepped
+    cons = [CongruenceConstraint(4, 3), CongruenceConstraint(3, 1)]
+    lo, hi = SIEVE_LIMIT - 3000, SIEVE_LIMIT + 3000
+    got = [n for n in primes_matching(hi, cons) if n >= lo]
+    want = [n for n in range(lo, hi) if n % 12 == 7 and naive_is_prime(n)]
+    assert any(n < SIEVE_LIMIT for n in want)
+    assert any(n > SIEVE_LIMIT for n in want)
     assert got == want
 
 

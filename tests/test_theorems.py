@@ -1,7 +1,7 @@
 import pytest
 
 from gaussprod import (CongruenceConstraint, RegimeError, THEOREM_IDS,
-                       class_number_dirichlet, legendre, primes_matching,
+                       class_number_dirichlet, primes_matching,
                        regime_q_reason, verify, verify_corollary,
                        verify_eq2_parity, verify_eq_a, verify_mordell,
                        verify_symmetry, verify_theorem1, verify_theorem2,
@@ -21,10 +21,6 @@ def test_theorem_id_enumeration():
 
 
 def test_mordell_frozen_cases():
-    v = verify_mordell(7)
-    assert (v.predicted, v.computed, v.passed) == (-1, -1, True)
-    v = verify_mordell(23)
-    assert (v.predicted, v.computed, v.passed) == (1, 1, True)
     v = verify_mordell(31)   # h(-31) = 3 so the exponent is even
     assert v.predicted == 1 and v.passed
 
@@ -77,10 +73,6 @@ def test_t1_regime_errors():
 
 
 def test_eq_a_frozen_and_range():
-    v = verify_eq_a(43, 7)
-    assert (v.predicted, v.computed) == (1, 1)
-    v = verify_eq_a(29, 7)
-    assert (v.predicted, v.computed) == (-1, -1)
     for q in (7, 11, 19):
         for p in primes_matching(1500, [CongruenceConstraint(q, 1)]):
             assert verify_eq_a(p, q).passed, (p, q)
@@ -106,10 +98,6 @@ def test_eq_a_regime_errors():
 
 
 def test_t2_frozen_and_range():
-    v = verify_theorem2(7, 3)
-    assert v.predicted == (-1, 1) and v.passed
-    v = verify_theorem2(43, 7)
-    assert v.predicted == (1, 1) and v.passed
     for q in (3, 7, 11, 19):
         for p in primes_matching(2000, [CongruenceConstraint(4, 3),
                                         CongruenceConstraint(q, 1)]):
@@ -125,9 +113,6 @@ def test_t2_sign_depends_only_on_q():
 
 
 def test_t3_frozen_and_range():
-    assert verify_theorem3(11, 3).passed
-    assert verify_theorem3(23, 7).passed
-    assert verify_theorem3(7, 5).passed
     for q in (3, 5, 7, 11, 13, 17):
         for p in primes_matching(2000, [CongruenceConstraint(4, 3),
                                         CongruenceConstraint(q, 2)]):
@@ -158,9 +143,6 @@ def test_t3_regime_errors():
 
 
 def test_t4_frozen_and_range():
-    assert verify_theorem4(23, 5).passed
-    assert verify_theorem4(31, 7).passed
-    assert verify_theorem4(47, 11).passed
     for q in (5, 7, 11, 13, 17, 19):
         for p in primes_matching(2000, [CongruenceConstraint(4, 3),
                                         CongruenceConstraint(q, 3)]):
@@ -178,15 +160,6 @@ def test_t4_regime_errors():
         verify_theorem4(31, 5)     # 31 = 1 mod 5
     with pytest.raises(RegimeError, match="^t4: p=3: need p > 5"):
         verify_theorem4(3, 5)      # 3 = 3 mod 5, but p must exceed q
-
-
-def test_eq2_parity_frozen_values():
-    v = verify_eq2_parity(7, 3)
-    assert v.predicted == (2, 0, 0) and v.computed == (2, 0, 0)
-    v = verify_eq2_parity(31, 3)
-    assert v.predicted == (6, 2, 0) and v.computed == (6, 2, 0)
-    v = verify_eq2_parity(43, 7)
-    assert v.predicted == (4, 16, 0) and v.computed == (4, 16, 0)
 
 
 def test_eq2_parity_range():

@@ -1,10 +1,13 @@
-"""The benchmark's tracer names package functions; a deletion that breaks
-its traced run must fail here, not at benchmark time."""
+"""Names that other code looks up by string must exist: the benchmark
+tracer's targets, and every public name a module exports.  A deletion that
+leaves one behind must fail here, not at benchmark time or on import *."""
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
+import gaussprod
 from gaussprod import theorems
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -26,3 +29,15 @@ def test_tracer_targets_exist():
                                        attr, None))]
     assert missing == []
     assert set(tracer.THEOREM_IDS) == set(theorems._VERIFIERS)
+
+
+def test_public_names_resolve():
+    # __main__ is skipped: importing it runs the command line
+    modules = [gaussprod] + [importlib.import_module(f"gaussprod.{info.name}")
+                             for info in pkgutil.iter_modules(gaussprod.__path__)
+                             if info.name != "__main__"]
+    exported = [m for m in modules if hasattr(m, "__all__")]
+    assert len(exported) >= 7
+    unresolved = [(m.__name__, name) for m in exported for name in m.__all__
+                  if not hasattr(m, name)]
+    assert unresolved == []
