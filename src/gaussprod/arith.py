@@ -32,6 +32,8 @@ def is_prime(n: int) -> bool:
     for p in _TRIAL_PRIMES:
         if n % p == 0:
             return n == p
+    if n < _TRIAL_PRIMES[-1] ** 2:
+        return True     # a composite below 37**2 has a prime factor below 37
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -60,7 +60,7 @@ def class_number_dirichlet(p: int) -> ClassNumberResult:
     ctx = _discriminant_context(p)
     if ctx.class_number is None:
         half = (p - 1) // 2
-        char_sum = 2 * int(ctx.cum[half]) - half
+        char_sum = 2 * int(ctx.residue_counts(half)) - half
         denom = 2 - ctx.legendre(2)
         if char_sum % denom:
             raise InternalCheckError(
@@ -87,10 +87,14 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
         raise ValueError("q must differ from p")
     if q >= P_LIMIT:
         raise ValueError(f"q must be below 2**31, got {q}")
-    a = np.arange(1, (p - 1) // 2 + 1, dtype=np.int64)
-    chi = np.where(ctx.mask[a], np.int64(1), np.int64(-1))
-    w = (q - 1) - 2 * ((a * q) // p)
-    total = int((chi * w).sum())
+    half = (p - 1) // 2
+
+    def weight_sum(a: np.ndarray) -> int:
+        return int(((q - 1) - 2 * (a * q // p)).sum())
+
+    # residues add their weight and nonresidues subtract it
+    total = (2 * weight_sum(ctx.squares[:ctx.residue_counts(half)])
+             - weight_sum(np.arange(1, half + 1, dtype=np.int64)))
     denom = q - ctx.legendre(q)
     if total % denom:
         raise InternalCheckError(
@@ -109,20 +113,22 @@ def class_number_forms(p: int) -> ClassNumberResult:
     whenever |B| == A or A == C.  Since -p == 1 (mod 4), B is odd, so the
     content gcd(A, B, C) can never be even and primitivity is automatic for
     prime p.  p == 3 is accepted here (h(-3) = 1) because it is needed as an
-    exponent by the norm-form representation.
+    exponent by the norm-form representation.  Each odd b = |B| takes one
+    vector of candidate A, so memory stays O(sqrt(p)).
     """
     if p % 4 != 3 or not is_prime(p):
         raise ValueError(f"need a prime p == 3 (mod 4), got {p}")
+    # A <= C and |B| <= A give p = 4AC - B**2 >= 3A**2
+    top = math.isqrt(p // 3)
     count = 0
-    for a in range(1, math.isqrt(p // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            num = b * b + p
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a or (a == c and b < 0):
-                continue
-            count += 1
+    for b in range(1, top + 1, 2):
+        a = np.arange(b, top + 1, dtype=np.int64)
+        num = b * b + p
+        a = a[num % (4 * a) == 0]
+        c = num // (4 * a)
+        reduced = c >= a
+        # B = +b and B = -b, except that |B| == A or A == C keeps B = +b only
+        count += int(2 * reduced.sum() - (reduced & ((a == b) | (a == c))).sum())
     if count < 1:
         raise InternalCheckError(f"no reduced forms found at p={p}")
     return ClassNumberResult(p=p, h=count, method="forms")

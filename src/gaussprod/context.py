@@ -1,11 +1,11 @@
 """Per-prime state: one PrimeContext holds everything derived from a prime p.
 
 The context validates p once and builds each field on first use: the
-quadratic-residue mask and its cumulative counts, and a product tree of
-1..p-1 (Bernstein, "Fast multiplication and its applications", 2008) that
-answers x! mod p for many x in one vectorised query.  The block tables,
-h(-p) and the norm-form representations are kept here too, filled in by
-the products and classnum modules that compute them.
+sorted quadratic residues, which count the residues in 1..x by binary
+search, and a product tree of 1..p-1 (Bernstein, "Fast multiplication and
+its applications", 2008) that answers x! mod p for many x in one vectorised
+query.  The block tables, h(-p) and the norm-form representations are kept
+here too, filled in by the products and classnum modules that compute them.
 
 prime_context(p) keeps the latest context in a single slot.  A scan works
 on one prime at a time, so every lookup inside a verifier hits that slot.
@@ -42,24 +42,20 @@ class PrimeContext:
         self.representations: dict = {}
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """mask[v] is True iff v is a nonzero square mod p."""
+    def squares(self) -> np.ndarray:
+        """The nonzero squares mod p in ascending order, each once."""
         p = self.p
-        # j and p - j have the same square, so j <= (p-1)/2 covers them all
+        # j and p - j have the same square, so j <= (p-1)/2 gives each once
         squares = np.arange(1, (p + 1) // 2, dtype=np.int64)
         squares *= squares
         squares %= p
-        mask = np.zeros(p, dtype=bool)
-        mask[squares] = True
-        mask.flags.writeable = False
-        return mask
+        squares.sort()
+        squares.flags.writeable = False
+        return squares
 
-    @cached_property
-    def cum(self) -> np.ndarray:
-        """cum[x] is the number of quadratic residues among 1..x."""
-        cum = np.cumsum(self.mask, dtype=np.int64)
-        cum.flags.writeable = False
-        return cum
+    def residue_counts(self, x) -> np.ndarray:
+        """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p."""
+        return np.searchsorted(self.squares, x, "right")
 
     @cached_property
     def _tree(self) -> list[np.ndarray]:
@@ -120,19 +116,11 @@ class PrimeContext:
 
 
 _slot: PrimeContext | None = None
-# The replaced context is kept until the next swap, so the new context's
-# arrays are built while the old ones still hold their heap space, which the
-# prime after reuses.  Freed at once, that space went back to the OS: a
-# mordell scan at p < 1e5 then took 1.35M minor page faults, not 0.45M
-# (glibc malloc, 2-vCPU Xeon VM).
-_previous: PrimeContext | None = None
 
 
 def prime_context(p: int) -> PrimeContext:
     """The context of p.  One slot: asking for another prime replaces it."""
-    global _slot, _previous
-    ctx = _slot
-    if ctx is None or ctx.p != p:
-        _previous, ctx = ctx, PrimeContext(p)
-        _slot = ctx
-    return ctx
+    global _slot
+    if _slot is None or _slot.p != p:
+        _slot = PrimeContext(p)
+    return _slot

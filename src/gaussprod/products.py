@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .arith import is_prime, legendre
+from .arith import is_prime
 from .context import prime_context
 
 __all__ = [
@@ -116,13 +116,17 @@ def generalized_partial_products(p: int, q: int) -> PartialProductTable:
 
 
 def residue_mask(p: int) -> np.ndarray:
-    """Boolean array of length p: entry v is True iff v is a nonzero square mod p."""
-    return prime_context(p).mask
+    """Boolean array of length p: entry v is True iff v is a nonzero square
+    mod p.  Built on each call; the package itself counts residues without it."""
+    squares = prime_context(p).squares
+    mask = np.zeros(p, dtype=bool)
+    mask[squares] = True
+    return mask
 
 
 def residue_cumulative_counts(p: int) -> np.ndarray:
     """Array c with c[x] = number of quadratic residues among 1..x."""
-    return prime_context(p).cum
+    return np.cumsum(residue_mask(p), dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -148,9 +152,8 @@ def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:
             raise ValueError(f"q must be smaller than p, got p={p}, q={q}")
     elif (p - 1) % q:
         raise ValueError(f"q must divide p - 1, got p={p}, q={q}")
-    cum = ctx.cum
     lo, hi = np.array(block_ranges(p, q, generalized), dtype=np.int64).T
-    res = cum[hi] - cum[lo - 1]
+    res = ctx.residue_counts(hi) - ctx.residue_counts(lo - 1)
     return BlockCounts(p=p, q=q, residues=tuple(res.tolist()),
                        nonresidues=tuple((hi - lo + 1 - res).tolist()),
                        generalized=generalized)
@@ -183,4 +186,4 @@ def enlarged_block_index(q: int) -> int:
     """
     if q <= 3 or not is_prime(q):
         raise ValueError(f"q must be a prime > 3, got {q}")
-    return (2 * (q + 2) + legendre(q, 3) - 1) // 6
+    return (2 * (q + 2) + (0, 1, -1)[q % 3] - 1) // 6

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import CongruenceConstraint, is_prime, legendre
+from .arith import CongruenceConstraint, is_prime
 from .classnum import (class_number_dirichlet, hahn_lee_representation,
                        square_subgroup)
 from .context import PrimeContext, prime_context
@@ -258,7 +258,7 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     half = (q - 1) // 2
     rhs = sum(counts.nonresidues[k - 1] * ((q + 1) // 2 - k)
               for k in range(1, half + 1))
-    jq3 = legendre(q, 3)
+    jq3 = (0, 1, -1)[q % 3]     # (q|3)
     lhs = (Fraction(q * q - 1, 8) * Fraction(p - 3, 2 * q)
            + Fraction(q - jq3, 12) - Fraction((q - ctx.legendre(q)) * h, 4))
     identity_ok = 1 if lhs == rhs else 0

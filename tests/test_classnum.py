@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,8 +41,25 @@ def test_dirichlet_matches_naive_sum():
 
 
 def test_forms_matches_naive_count():
-    for p in P_3MOD4[:60]:
-        assert class_number_forms(p).h == naive_class_number(p)
+    for p in primes_matching(10**4, [CongruenceConstraint(4, 3)]):
+        assert class_number_forms(p).h == naive_class_number(p), p
+
+
+def test_three_routes_agree_near_1e7():
+    p = 10_000_019
+    assert naive_is_prime(p) and p % 4 == 3
+    h = class_number_forms(p).h
+    assert class_number_dirichlet(p).h == h
+    assert class_number_lemma1(p, 3).h == h
+
+
+def test_forms_at_2_31_is_fast():
+    # O(sqrt(p)) memory; about 1 s on a 2-vCPU VM, where a loop over every
+    # (A, B) pair would take minutes
+    start = time.perf_counter()
+    h = class_number_forms.__wrapped__(2**31 - 1).h
+    assert time.perf_counter() - start < 20
+    assert h % 2 == 1     # h(-p) is odd for a prime p == 3 (mod 4)
 
 
 def test_three_methods_agree_and_h_is_odd():

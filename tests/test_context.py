@@ -1,15 +1,19 @@
 import math
 from collections import Counter
+from itertools import accumulate
 
+import numpy as np
 import pytest
 
 import gaussprod.context as context
+import gaussprod.products as products
 from gaussprod.context import PrimeContext, prime_context
-from gaussprod.products import load_block_tables, residue_mask
+from gaussprod.products import block_counts, load_block_tables, residue_mask
 from gaussprod.scan import ScanConfig, run_scan
 from gaussprod.theorems import THEOREM_IDS
 
-from oracles import naive_is_prime, naive_legendre, naive_partial_products
+from oracles import (naive_block_counts, naive_is_prime, naive_legendre,
+                     naive_partial_products)
 
 ODD_PRIMES_600 = [p for p in range(3, 600) if naive_is_prime(p)]
 
@@ -29,6 +33,27 @@ def test_block_tables_match_naive_products(empty_slot):
         for (q, generalized), table in zip(layouts, tables):
             want = naive_partial_products(p, q, generalized=generalized)
             assert list(table.values) == want, (p, q, generalized)
+
+
+def test_residue_counts_match_naive():
+    for p in ODD_PRIMES_600:
+        squares = {x * x % p for x in range(1, p)}
+        want = list(accumulate(x in squares for x in range(p)))
+        ctx = PrimeContext(p)
+        assert ctx.residue_counts(np.arange(p)).tolist() == want, p
+        assert int(ctx.residue_counts(p - 1)) == (p - 1) // 2, p
+
+
+def test_block_counts_match_naive(empty_slot):
+    # every odd prime q < p in the floor-cut layout, and every such q with
+    # p == 1 (mod q) in the equal-block layout
+    for p in ODD_PRIMES_600:
+        for q in [q for q in ODD_PRIMES_600 if q < p]:
+            for generalized in (True, False) if p % q == 1 else (True,):
+                c = block_counts(p, q, generalized)
+                want = naive_block_counts(p, q, generalized)
+                assert (list(c.residues), list(c.nonresidues)) == want, (
+                    p, q, generalized)
 
 
 def test_half_factorial_matches_math_factorial():
@@ -84,3 +109,20 @@ def test_scan_builds_one_context_per_prime(monkeypatch, empty_slot):
                                  q_values=(3, 5, 7, 11), workers=1))
     assert set(built) == {v.p for v in report.verdicts}
     assert set(built.values()) == {1}
+
+
+def test_scan_never_builds_a_mask(monkeypatch, empty_slot):
+    # residue counts come from the sorted squares; the p-sized mask and its
+    # cumulative counts are public helpers only, built on demand
+    def refuse(p):
+        raise AssertionError(f"residue table built at p={p}")
+
+    monkeypatch.setattr(products, "residue_mask", refuse)
+    monkeypatch.setattr(products, "residue_cumulative_counts", refuse)
+    report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1))
+    assert {v.theorem_id for v in report.verdicts} == set(THEOREM_IDS)
+    assert all(v.passed for v in report.verdicts)
+    ctx = PrimeContext(1999)
+    assert ctx.squares.size == 999
+    for name in ("mask", "cum"):
+        assert not hasattr(ctx, name), name

@@ -136,17 +136,6 @@ def test_counts_match_naive_and_sum_to_half():
             assert list(c.nonresidues) == nonres
 
 
-def test_counts_frozen_examples():
-    c = block_counts(7, 3)
-    assert c.residues == (2, 1, 0) and c.nonresidues == (0, 1, 2)
-    c = block_counts(11, 5)
-    assert (c.residues[0], c.nonresidues[0]) == (1, 1)
-    c = block_counts(31, 3)
-    assert c.residues == (8, 5, 2) and c.nonresidues == (2, 5, 8)
-    c = block_counts(43, 7)
-    assert c.residues == (3, 3, 5, 3, 1, 3, 3)
-
-
 def test_residue_mask_and_cumulative_counts():
     for p in SMALL_PRIMES[:20]:
         mask = residue_mask(p)
