@@ -1,8 +1,8 @@
 """Command-line front end: sweep ranges, compute single values, self-test.
 
 Exit codes: 0 everything passed, 1 at least one theorem check failed,
-2 usage or argument error, 3 internal consistency error (a bug, not a
-refuted identity).
+2 usage or argument error, or a query too large for the memory at hand,
+3 internal consistency error (a bug, not a refuted identity).
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     except (InternalCheckError, ArithmeticError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

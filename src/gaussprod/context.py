@@ -34,7 +34,8 @@ class PrimeContext:
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
-        # (n, generalized) -> PartialProductTable, filled by products
+        # n -> PartialProductTable of the n blocks cut at floor(k*p/n),
+        # for equal and floor-cut blocks alike; filled by products
         self.tables: dict = {}
         # h(-p) by Dirichlet's sum, a ClassNumberResult filled by classnum
         self.class_number = None

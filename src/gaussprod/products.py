@@ -1,10 +1,12 @@
 """Partial products of consecutive-integer blocks mod p, with residue counts.
 
-For an odd prime p and n dividing p - 1, the integers 1..p-1 split into n
-equal blocks of length (p - 1)/n; the k-th block product reduced mod p is the
-plain partial product.  The generalized variant drops the divisibility
-requirement by cutting 1..p-1 at floor(k * p / q) instead, so blocks have
-floor-length sizes and the two notions coincide when p == 1 (mod q).
+For an odd prime p, n blocks partition 1..p-1 at the cut points c_0 = 0,
+c_k = floor(k * p / n) for 0 < k < n, and c_n = p - 1; block k holds
+c_(k-1) + 1..c_k.  When n | p - 1, k * p / n = k(p-1)/n + k/n with
+0 < k/n < 1, so c_k = k(p-1)/n: the cuts are those of n equal blocks of
+length (p - 1)/n.  One table per (p, n) therefore serves both families;
+they differ only in what they require, n | p - 1 for the equal (plain)
+blocks and an odd prime n = q < p for the floor-cut (generalized) ones.
 """
 
 from __future__ import annotations
@@ -33,19 +35,29 @@ __all__ = [
 ]
 
 
-def _check_odd_prime(x: int, name: str) -> None:
-    if x < 3 or x % 2 == 0 or not is_prime(x):
-        raise ValueError(f"{name} must be an odd prime, got {x}")
+def _check_layout(p: int, n: int, generalized: bool) -> None:
+    """ValueError unless the chosen family of n blocks is defined at p."""
+    if generalized:
+        if n < 3 or n % 2 == 0 or not is_prime(n):
+            raise ValueError(f"q must be an odd prime, got {n}")
+        if n >= p:
+            raise ValueError(f"q must be smaller than p, got p={p}, q={n}")
+    elif n < 2 or (p - 1) % n:
+        raise ValueError(f"n must be >= 2 and divide p - 1, got p={p}, n={n}")
+
+
+def _cuts(p: int, n: int) -> np.ndarray:
+    """The n + 1 cut points c_0..c_n of n blocks of 1..p-1, in int64."""
+    cuts = np.arange(n + 1, dtype=np.int64) * p // n
+    cuts[-1] = p - 1
+    return cuts
 
 
 def block_ranges(p: int, n: int, generalized: bool = False) -> tuple[tuple[int, int], ...]:
     """Inclusive (start, end) ranges of the n blocks partitioning 1..p-1."""
-    if generalized:
-        lows = [((k - 1) * p) // n + 1 for k in range(1, n + 1)]
-        highs = [(k * p) // n for k in range(1, n)] + [p - 1]
-        return tuple(zip(lows, highs))
-    m = (p - 1) // n
-    return tuple(((k - 1) * m + 1, k * m) for k in range(1, n + 1))
+    _check_layout(p, n, generalized)
+    cuts = _cuts(p, n).tolist()
+    return tuple((lo + 1, hi) for lo, hi in zip(cuts, cuts[1:]))
 
 
 @dataclass(frozen=True)
@@ -55,7 +67,6 @@ class PartialProductTable:
     p: int
     n: int
     values: tuple[int, ...]
-    generalized: bool
 
     def block(self, k: int) -> int:
         if not 1 <= k <= self.n:
@@ -63,10 +74,8 @@ class PartialProductTable:
         return self.values[k - 1]
 
     def prefix_factorials(self) -> tuple[int, ...]:
-        """Cumulative products: entry i-1 is blocks 1..i multiplied out mod p.
-
-        For the plain table this is (i * (p-1)/n)! mod p.
-        """
+        """Cumulative products: entry i-1 is blocks 1..i multiplied out
+        mod p, which is c_i! mod p for the i-th cut point c_i."""
         out = []
         acc = 1
         for v in self.values:
@@ -79,40 +88,35 @@ class PartialProductTable:
         return self.prefix_factorials()[-1]
 
 
-def load_block_tables(p: int, layouts) -> list[PartialProductTable]:
-    """The table of every (n, generalized) layout, from p's context.
+def load_block_tables(p: int, sizes) -> list[PartialProductTable]:
+    """The table of n blocks for every n in sizes, from p's context.
 
-    Layouts are taken as valid; the ones the context lacks are computed
+    Sizes are taken as valid; the ones the context lacks are computed
     together, by one range query over all of their blocks.
     """
     ctx = prime_context(p)
-    missing = [key for key in dict.fromkeys(layouts) if key not in ctx.tables]
+    missing = [n for n in dict.fromkeys(sizes) if n not in ctx.tables]
     if missing:
-        ranges = [block_ranges(p, n, generalized) for n, generalized in missing]
-        lo, hi = np.array([r for rs in ranges for r in rs], dtype=np.int64).T
+        cuts = [_cuts(p, n) for n in missing]
+        lo = np.concatenate([c[:-1] for c in cuts]) + 1
+        hi = np.concatenate([c[1:] for c in cuts])
         values = iter(ctx.range_products(lo, hi).tolist())
-        for (n, generalized), rs in zip(missing, ranges):
-            ctx.tables[n, generalized] = PartialProductTable(
-                p=p, n=n, values=tuple(islice(values, len(rs))),
-                generalized=generalized)
-    return [ctx.tables[key] for key in layouts]
+        for n in missing:
+            ctx.tables[n] = PartialProductTable(
+                p=p, n=n, values=tuple(islice(values, n)))
+    return [ctx.tables[n] for n in sizes]
 
 
 def partial_products(p: int, n: int) -> PartialProductTable:
     """Block products for equal blocks of length (p-1)/n; needs n | p - 1."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    if (p - 1) % n:
-        raise ValueError(f"n must divide p - 1, got p={p}, n={n}")
-    return load_block_tables(p, [(n, False)])[0]
+    _check_layout(p, n, False)
+    return load_block_tables(p, [n])[0]
 
 
 def generalized_partial_products(p: int, q: int) -> PartialProductTable:
     """Floor-cut block products; defined for any odd primes q < p."""
-    _check_odd_prime(q, "q")
-    if q >= p:
-        raise ValueError(f"q must be smaller than p, got p={p}, q={q}")
-    return load_block_tables(p, [(q, True)])[0]
+    _check_layout(p, q, True)
+    return load_block_tables(p, [q])[0]
 
 
 def residue_mask(p: int) -> np.ndarray:
@@ -137,7 +141,6 @@ class BlockCounts:
     q: int
     residues: tuple[int, ...]
     nonresidues: tuple[int, ...]
-    generalized: bool
 
     def block_size(self, k: int) -> int:
         return self.residues[k - 1] + self.nonresidues[k - 1]
@@ -145,18 +148,11 @@ class BlockCounts:
 
 def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:
     """Count residues/nonresidues inside each block of 1..p-1."""
-    ctx = prime_context(p)
-    _check_odd_prime(q, "q")
-    if generalized:
-        if q >= p:
-            raise ValueError(f"q must be smaller than p, got p={p}, q={q}")
-    elif (p - 1) % q:
-        raise ValueError(f"q must divide p - 1, got p={p}, q={q}")
-    lo, hi = np.array(block_ranges(p, q, generalized), dtype=np.int64).T
-    res = ctx.residue_counts(hi) - ctx.residue_counts(lo - 1)
+    _check_layout(p, q, generalized)
+    cuts = _cuts(p, q)
+    res = np.diff(prime_context(p).residue_counts(cuts))
     return BlockCounts(p=p, q=q, residues=tuple(res.tolist()),
-                       nonresidues=tuple((hi - lo + 1 - res).tolist()),
-                       generalized=generalized)
+                       nonresidues=tuple((np.diff(cuts) - res).tolist()))
 
 
 def selected_block_indices(q: int) -> tuple[int, ...]:

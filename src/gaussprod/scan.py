@@ -94,8 +94,8 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     """Verdicts for a unit of (p, ((theorem, q), ...)) entries."""
     out = []
     for p, work in unit:
-        layouts = [block_layout(tid, q) for tid, q in work]
-        load_block_tables(p, [lay for lay in layouts if lay is not None])
+        sizes = [block_layout(tid, q) for tid, q in work]
+        load_block_tables(p, [n for n in sizes if n is not None])
         for tid, q in work:
             # looked up per call, so a replaced verifier takes effect at once
             out.append(_VERIFIERS[tid](p, q))

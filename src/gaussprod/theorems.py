@@ -48,15 +48,16 @@ class Regime:
     q is an odd prime >= q_min, with q == q_mod_4 (mod 4) where that is set.
     p is a prime > q with p == p_mod_q (mod q) and p == p_mod_4 (mod 4)
     where those are set; a claim whose p_mod_q is None takes no q and needs
-    p > 3 instead.  blocks is the block table the verifier reads, "plain"
-    or "generalized" at n = q (the halves, n = 2, without q), or None.
+    p > 3 instead.  blocks says whether the verifier reads the table of
+    n = q blocks (n = 2, the halves, for a claim without q); equal and
+    floor-cut blocks share that table, as their cuts coincide when n | p - 1.
     """
 
     p_mod_q: int | None
     p_mod_4: int | None
     q_min: int = 3
     q_mod_4: int | None = None
-    blocks: str | None = "plain"
+    blocks: bool = True
 
     def p_classes(self, q: int | None) -> tuple[list[tuple[int, int]], int]:
         """The (modulus, residue) classes p must lie in, and the strict
@@ -73,9 +74,9 @@ REGIMES = {
     "corollary": Regime(p_mod_q=1, p_mod_4=3),
     "eq_a": Regime(p_mod_q=1, p_mod_4=None, q_min=5, q_mod_4=3),
     "t2": Regime(p_mod_q=1, p_mod_4=3, q_mod_4=3),
-    "t3": Regime(p_mod_q=2, p_mod_4=3, blocks="generalized"),
-    "t4": Regime(p_mod_q=3, p_mod_4=3, q_min=5, blocks="generalized"),
-    "eq2_parity": Regime(p_mod_q=1, p_mod_4=3, blocks=None),
+    "t3": Regime(p_mod_q=2, p_mod_4=3),
+    "t4": Regime(p_mod_q=3, p_mod_4=3, q_min=5),
+    "eq2_parity": Regime(p_mod_q=1, p_mod_4=3, blocks=False),
     "symmetry": Regime(p_mod_q=1, p_mod_4=3),
 }
 
@@ -104,13 +105,13 @@ def scan_domain(theorem_id: str, q: int | None) -> tuple[list[CongruenceConstrai
     return [CongruenceConstraint(m, r) for m, r in classes], min_p
 
 
-def block_layout(theorem_id: str, q: int | None) -> tuple[int, bool] | None:
-    """The block table (n, generalized) a verifier reads at (p, q), if any,
-    so that a scan can load every table of one prime in a single query."""
+def block_layout(theorem_id: str, q: int | None) -> int | None:
+    """The number n of blocks whose table a verifier reads at (p, q), if
+    any, so that a scan can load every table of one prime in one query."""
     reg = REGIMES[theorem_id]
-    if reg.blocks is None:
+    if not reg.blocks:
         return None
-    return (2 if reg.p_mod_q is None else q), reg.blocks == "generalized"
+    return 2 if reg.p_mod_q is None else q
 
 
 def _check_regime(theorem_id: str, p: int, q: int | None) -> PrimeContext:

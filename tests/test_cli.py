@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gaussprod
 from gaussprod.cli import main
 from gaussprod.scan import (ScanConfig, render_csv, render_human, render_json,
                             run_scan)
@@ -170,6 +176,22 @@ def test_compute_usage_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "--what", "verdict", "--p", "7",
                            "--q", "3")
     assert code == 2 and "--theorem" in err
+
+
+def test_compute_out_of_memory_is_a_usage_error():
+    # the 8 GiB of squares at p = 2**31 - 1 cannot fit under a 2 GiB cap
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(gaussprod.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "gaussprod", "compute", "--what",
+                          "classnumber", "--p", str(2**31 - 1)],
+                         capture_output=True, text=True, env=env,
+                         preexec_fn=cap_address_space, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
 
 
 def test_selftest_command(capsys):

@@ -24,15 +24,21 @@ def empty_slot(monkeypatch):
 
 
 def test_block_tables_match_naive_products(empty_slot):
-    # every layout of p comes from one batched query, as in a scan
+    # floor-cut blocks at every odd prime q < p and equal blocks at every
+    # q | p - 1, all from one batched query per p, as in a scan; the two
+    # families share the table of each n
     for p in ODD_PRIMES_600:
         qs = [q for q in ODD_PRIMES_600 if q < p]
-        layouts = ([(q, True) for q in qs]
-                   + [(q, False) for q in qs if p % q == 1])
-        tables = load_block_tables(p, layouts)
-        for (q, generalized), table in zip(layouts, tables):
-            want = naive_partial_products(p, q, generalized=generalized)
-            assert list(table.values) == want, (p, q, generalized)
+        split = [q for q in qs if p % q == 1]
+        tables = load_block_tables(p, qs + split)
+        for q, table in zip(qs, tables):
+            want = naive_partial_products(p, q, generalized=True)
+            assert list(table.values) == want, (p, q)
+        for q, table in zip(split, tables[len(qs):]):
+            assert list(table.values) == naive_partial_products(p, q), (p, q)
+        tables_by_n = prime_context(p).tables
+        assert sorted(tables_by_n) == qs, p
+        assert all(tables_by_n[q] is t for q, t in zip(qs + split, tables)), p
 
 
 def test_residue_counts_match_naive():

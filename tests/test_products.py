@@ -67,6 +67,8 @@ def test_input_validation():
         generalized_partial_products(11, 9)
     with pytest.raises(ValueError):
         partial_products(11, 5).block(6)
+    with pytest.raises(ValueError):
+        block_ranges(11, 4)             # would leave out 9 and 10
 
 
 def test_range_products_match_scalar_loop():

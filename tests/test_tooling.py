@@ -5,12 +5,14 @@ leaves one behind must fail here, not at benchmark time or on import *."""
 import importlib
 import importlib.util
 import pkgutil
+import re
 from pathlib import Path
 
 import gaussprod
-from gaussprod import theorems
+from gaussprod import selftest, theorems
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _load_tracer():
@@ -41,3 +43,9 @@ def test_public_names_resolve():
     unresolved = [(m.__name__, name) for m in exported for name in m.__all__
                   if not hasattr(m, name)]
     assert unresolved == []
+
+
+def test_readme_fixture_count_matches_selftest():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    counts = [int(n) for n in re.findall(r"(\d+) frozen fixtures", readme)]
+    assert counts == [len(selftest.FIXTURES)]
