@@ -90,10 +90,13 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     half = (p - 1) // 2
 
     def weight_sum(a: np.ndarray) -> int:
-        return int(((q - 1) - 2 * (a * q // p)).sum())
+        # overwrites a, which the caller hands over
+        a *= q
+        a //= p
+        return a.size * (q - 1) - 2 * int(a.sum())
 
     # residues add their weight and nonresidues subtract it
-    total = (2 * weight_sum(ctx.squares[:ctx.residue_counts(half)])
+    total = (2 * weight_sum(ctx.squares[:ctx.residue_counts(half)].copy())
              - weight_sum(np.arange(1, half + 1, dtype=np.int64)))
     denom = q - ctx.legendre(q)
     if total % denom:

@@ -6,6 +6,7 @@ search, and a product tree of 1..p-1 (Bernstein, "Fast multiplication and
 its applications", 2008) that answers x! mod p for many x in one vectorised
 query.  The block tables, h(-p) and the norm-form representations are kept
 here too, filled in by the products and classnum modules that compute them.
+Both O(p) kernels reduce mod p by _reduce, which avoids hardware division.
 
 prime_context(p) keeps the latest context in a single slot.  A scan works
 on one prime at a time, so every lookup inside a verifier hits that slot.
@@ -46,11 +47,14 @@ class PrimeContext:
     def squares(self) -> np.ndarray:
         """The nonzero squares mod p in ascending order, each once."""
         p = self.p
-        # j and p - j have the same square, so j <= (p-1)/2 gives each once
-        squares = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        squares *= squares
-        squares %= p
-        squares.sort()
+        # j and p - j have the same square, so j <= (p-1)/2 gives each once;
+        # being distinct values below p, they sort by marking
+        raw = np.arange(1, (p + 1) // 2, dtype=np.int64)
+        raw *= raw
+        marks = np.zeros(p, dtype=bool)
+        marks[_reduce(raw, p)] = True
+        del raw
+        squares = np.flatnonzero(marks)
         squares.flags.writeable = False
         return squares
 
@@ -60,18 +64,20 @@ class PrimeContext:
 
     @cached_property
     def _tree(self) -> list[np.ndarray]:
-        """Level k holds the products mod p of aligned runs of 2**k leaves,
-        the leaves being 1..p-1.  A level of odd length carries its last
-        node up unpaired, as if the leaves were padded with ones."""
+        """Entry k-1 holds level k: the products mod p of aligned runs of
+        2**k leaves, the leaves being 1..p-1.  Leaf x is x, so level 0 is
+        not stored (the tree takes about 8p bytes).  A level of odd length
+        carries its last node up unpaired, as if padded with ones."""
         p = self.p
-        level = np.arange(1, p, dtype=np.int64)
-        levels = [level]
+        level = np.arange(2, p, 2, dtype=np.int64)
+        level *= level - 1
+        levels = [_reduce(level, p)]
         while level.size > 1:
             n = level.size
             up = np.empty((n + 1) // 2, dtype=np.int64)
             pairs = up[:n // 2]
             np.multiply(level[0:n - 1:2], level[1::2], out=pairs)
-            np.remainder(pairs, p, out=pairs)
+            _reduce(pairs, p)
             if n & 1:
                 up[-1] = level[-1]
             level = up
@@ -85,8 +91,8 @@ class PrimeContext:
         node of level k whose run ends at leaf (x >> k) << k.
         """
         x = np.asarray(x, dtype=np.int64)
-        out = np.ones_like(x)
-        for k, level in enumerate(self._tree):
+        out = np.where(x & 1, x, 1)
+        for k, level in enumerate(self._tree, 1):
             node = x >> k
             out = np.where(node & 1, out * level[node - 1] % self.p, out)
         return out
@@ -117,6 +123,22 @@ class PrimeContext:
 
 
 _slot: PrimeContext | None = None
+# the quotients of _reduce, kept and grown to powers of two: a buffer made
+# afresh per call, or per slightly larger p, faults in all its pages anew
+_quotient = np.empty(0, dtype=np.int64)
+
+
+def _reduce(a: np.ndarray, p: int) -> np.ndarray:
+    """a %= p in place for an int64 array, returned: about twice as fast as
+    %, since numpy's // by a scalar uses libdivide and % a hardware divide."""
+    global _quotient
+    if _quotient.size < a.size:
+        _quotient = np.empty(1 << (a.size - 1).bit_length(), dtype=np.int64)
+    quotient = _quotient[:a.size]
+    np.floor_divide(a, p, out=quotient)
+    quotient *= p
+    a -= quotient
+    return a
 
 
 def prime_context(p: int) -> PrimeContext:

@@ -71,6 +71,57 @@ def test_half_factorial_matches_math_factorial():
         assert ctx.factorials(xs).tolist() == [math.factorial(x) % p for x in xs]
 
 
+MID_P = 999983
+
+
+def test_reduce_matches_remainder():
+    rng = np.random.default_rng(8)
+    for p in (3, 549979, 2**31 - 1):
+        top = (p - 1) ** 2
+        edges = [0, p - 1, p, 2 * p, 12345 * p, top // p * p, top]
+        a = np.concatenate((rng.integers(0, top, 100_000, endpoint=True),
+                            np.array(edges, dtype=np.int64)))
+        want = a % p
+        assert context._reduce(a, p) is a, p
+        assert np.array_equal(a, want), p
+    # the quotient buffer is kept: a smaller array reuses it
+    buffer = context._quotient
+    context._reduce(np.arange(1000, dtype=np.int64), 7)
+    assert context._quotient is buffer
+
+
+def test_kernels_at_a_mid_size_prime():
+    # the lower tree levels and the squares are far larger than anything
+    # the tests at p < 600 reach; the references are plain Python loops
+    p = MID_P
+    ctx = PrimeContext(p)
+    j = np.arange(1, p, dtype=np.int64)
+    assert np.array_equal(ctx.squares, np.unique(j * j % p))
+    running = [1]
+    for x in range(1, p):
+        running.append(running[-1] * x % p)
+    rng = np.random.default_rng(9)
+    xs = [0, 1, 2, (p - 1) // 2, p - 2, p - 1] + rng.integers(0, p, 44).tolist()
+    assert ctx.factorials(xs).tolist() == [running[x] for x in xs]
+    assert running[p - 1] == p - 1  # Wilson
+    ranges = [(1, p - 1), (2, (p - 1) // 2), (5, 4), (p - 3, p + 2),
+              (123457, 876543), (p - 1, p - 1)]
+    lo, hi = (np.array(r, dtype=np.int64) for r in zip(*ranges))
+    want = [0 if h >= p else running[h] * pow(running[l - 1], -1, p) % p
+            for l, h in ranges]
+    assert ctx.range_products(lo, hi).tolist() == want
+
+
+def test_tree_stores_no_leaves():
+    # p - 1 leaves have p - 2 inner nodes; each level carries at most one
+    # node up unpaired, which is stored once more
+    ctx = PrimeContext(MID_P)
+    tree = ctx._tree
+    assert tree[0].size == (MID_P - 1) // 2
+    assert tree[-1].size == 1
+    assert sum(level.nbytes for level in tree) <= 8 * (MID_P - 2 + len(tree))
+
+
 def test_legendre_matches_naive():
     for p in ODD_PRIMES_600[:40]:
         ctx = PrimeContext(p)
