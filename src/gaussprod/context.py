@@ -2,11 +2,13 @@
 
 The context validates p once and builds each field on first use: the
 sorted quadratic residues, which count the residues in 1..x by binary
-search, and a product tree of 1..p-1 (Bernstein, "Fast multiplication and
-its applications", 2008) that answers x! mod p for many x in one vectorised
-query.  The block tables, h(-p) and the norm-form representations are kept
-here too, filled in by the products and classnum modules that compute them.
-Both O(p) kernels reduce mod p by _reduce, which avoids hardware division.
+search, and a product tree of the lower half 1..(p-1)/2 (Bernstein, "Fast
+multiplication and its applications", 2008).  One vectorised query of the
+tree walks it from both ends, giving x! and y*(y+1)*...*(p-1)/2 mod p for
+many x and y; the upper half mirrors the lower, since j == -(p - j).  The
+block tables, h(-p) and the norm-form representations are kept here too,
+filled in by the products and classnum modules that compute them.  Both
+O(p) kernels reduce mod p by _reduce, which avoids hardware division.
 
 prime_context(p) keeps the latest context in a single slot.  A scan works
 on one prime at a time, so every lookup inside a verifier hits that slot.
@@ -14,6 +16,7 @@ on one prime at a time, so every lookup inside a verifier hits that slot.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -63,58 +66,68 @@ class PrimeContext:
         return np.searchsorted(self.squares, x, "right")
 
     @cached_property
-    def _tree(self) -> list[np.ndarray]:
-        """Entry k-1 holds level k: the products mod p of aligned runs of
-        2**k leaves, the leaves being 1..p-1.  Leaf x is x, so level 0 is
-        not stored (the tree takes about 8p bytes).  A level of odd length
-        carries its last node up unpaired, as if padded with ones."""
-        p = self.p
-        level = np.arange(2, p, 2, dtype=np.int64)
-        level *= level - 1
-        levels = [_reduce(level, p)]
-        while level.size > 1:
-            n = level.size
-            up = np.empty((n + 1) // 2, dtype=np.int64)
-            pairs = up[:n // 2]
-            np.multiply(level[0:n - 1:2], level[1::2], out=pairs)
-            _reduce(pairs, p)
-            if n & 1:
-                up[-1] = level[-1]
-            level = up
-            levels.append(level)
-        return levels
+    def _tree(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, offset): the product tree of the lower half 1..h,
+        h = (p-1)/2, in one int64 array.  Level k >= 1 holds the products
+        mod p of aligned runs of 2**k leaves, padded with ones, from
+        flat[offset[k]]; a level of odd length is stored with a trailing 1,
+        which pairs with its last node on the level above and ends flat.
+        Leaf x is x, so level 0 is not stored.  flat lies in _tree_store
+        unless another live context holds that, so it takes about 4p bytes
+        and, across a scan, no fresh memory per prime."""
+        global _tree_store, _tree_owner
+        h = (self.p - 1) // 2
+        size = [(h + 1) // 2]
+        while size[-1] > 1:
+            size.append((size[-1] + 1) // 2)
+        size = np.array(size)
+        offset = np.cumsum(np.append(0, size + (size & 1)))
+        if _tree_store.size < offset[-1] or (_tree_owner and _tree_owner()):
+            _tree_store = np.empty(1 << int(offset[-1] - 1).bit_length(), dtype=np.int64)
+        _tree_owner = weakref.ref(self)
+        flat = _tree_store[:offset[-1]]
+        flat[(offset[:-1] + size)[size & 1 == 1]] = 1
+        level = flat[:size[0]]
+        odd = np.arange(1, 2 * size[0], 2)
+        np.add(odd, 1, out=level)
+        level *= odd
+        del odd
+        if h & 1:
+            level[-1] = h
+        _reduce(level, self.p)
+        for k in range(1, size.size):
+            below = flat[offset[k - 1]:offset[k]]
+            up = flat[offset[k]:][:size[k]]
+            _reduce(np.multiply(below[0::2], below[1::2], out=up), self.p)
+        return flat, np.append(0, offset[:-1])[:, None]
 
-    def factorials(self, x) -> np.ndarray:
-        """x! mod p for every entry 0 <= x < p of an integer array.
+    def half_products(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """(P(x), S(y)) mod p elementwise for 1-D x and y, from one gather
+        over the tree: P(x) = x! for 0 <= x <= h and S(y) = y*(y+1)*...*h
+        for 1 <= y <= h, with h = (p-1)/2.
 
-        The leaves 1..x are tiled by one tree node per set bit k of x: the
-        node of level k whose run ends at leaf (x >> k) << k.
+        P multiplies, for every level k, the node that ends at leaf
+        (x >> k) << k when x >> k is odd.  S with l = y - 1 leaves skipped
+        takes node ceil(l / 2**k) when that node is odd; past the last node
+        of a level it takes the padding 1.  S(1) is h!, the root, so P(h).
         """
+        flat, offset = self._tree
+        h = (self.p - 1) // 2
         x = np.asarray(x, dtype=np.int64)
-        out = np.where(x & 1, x, 1)
-        for k, level in enumerate(self._tree, 1):
-            node = x >> k
-            out = np.where(node & 1, out * level[node - 1] % self.p, out)
-        return out
-
-    def range_products(self, lo, hi) -> np.ndarray:
-        """Product of the integers lo..hi mod p, elementwise over arrays
-        with 1 <= lo <= hi + 1: 1 for an empty range, 0 when the range
-        holds a multiple of p.
-
-        Each product is F(hi) * F(lo - 1)**-1 with F(x) = x! mod p, all
-        from one factorials() query: Wilson's theorem gives the reflection
-        x! * (p-1-x)! == (-1)**(x+1), so F(x)**-1 == (-1)**(x+1) * F(p-1-x).
-        """
-        p = self.p
-        lo = np.asarray(lo, dtype=np.int64)
-        hi = np.asarray(hi, dtype=np.int64)
-        below = (lo - 1) % p
-        f = self.factorials(np.concatenate((hi % p, p - 1 - below)))
-        top, reflected = f[:below.size], f[below.size:]
-        out = top * np.where(below & 1, reflected, p - reflected) % p
-        out[hi // p > (lo - 1) // p] = 0
-        return out
+        y = np.asarray(y, dtype=np.int64)
+        # rows of x, and of -l for S: floor(-l / 2**k) = -ceil(l / 2**k)
+        a = np.concatenate((x, np.where(y > 1, 1 - y, h))) >> np.arange(offset.size)[:, None]
+        node = np.abs(a - (a > 0))
+        out = flat[np.where(a & 1, node + offset, -1)]
+        out[0] = np.where(a[0] & 1, node[0] + 1, 1)
+        w = out.shape[0]
+        while w > 1:
+            # fold the last half of the rows onto the first
+            half = w // 2
+            out[:half] *= out[w - half:w]
+            out[:half] %= self.p
+            w -= half
+        return out[0, :x.size], out[0, x.size:]
 
     def legendre(self, a: int) -> int:
         """Legendre symbol (a|p) by Euler's criterion."""
@@ -123,21 +136,24 @@ class PrimeContext:
 
 
 _slot: PrimeContext | None = None
-# the quotients of _reduce, kept and grown to powers of two: a buffer made
-# afresh per call, or per slightly larger p, faults in all its pages anew
-_quotient = np.empty(0, dtype=np.int64)
+# the quotients of _reduce, one chunk at a time, and the tree storage, kept
+# and grown to powers of two: memory made afresh per prime faults in all its
+# pages anew.  The storage is lent to one context at a time; while that
+# context lives, the next gets new memory.
+_quotient = np.empty(1 << 16, dtype=np.int64)
+_tree_store = np.empty(0, dtype=np.int64)
+_tree_owner: weakref.ref | None = None
 
 
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
-    """a %= p in place for an int64 array, returned: about twice as fast as
-    %, since numpy's // by a scalar uses libdivide and % a hardware divide."""
-    global _quotient
-    if _quotient.size < a.size:
-        _quotient = np.empty(1 << (a.size - 1).bit_length(), dtype=np.int64)
-    quotient = _quotient[:a.size]
-    np.floor_divide(a, p, out=quotient)
-    quotient *= p
-    a -= quotient
+    """a %= p in place for a 1-D int64 array, returned: about twice as fast
+    as %, since numpy's // by a scalar uses libdivide and % a hardware
+    divide."""
+    for start in range(0, a.size, _quotient.size):
+        part = a[start:start + _quotient.size]
+        quotient = np.floor_divide(part, p, out=_quotient[:part.size])
+        quotient *= p
+        part -= quotient
     return a
 
 

@@ -7,12 +7,13 @@ c_(k-1) + 1..c_k.  When n | p - 1, k * p / n = k(p-1)/n + k/n with
 length (p - 1)/n.  One table per (p, n) therefore serves both families;
 they differ only in what they require, n | p - 1 for the equal (plain)
 blocks and an odd prime n = q < p for the floor-cut (generalized) ones.
+Every layout is mirror-symmetric, c_(n-k) = p-1-c_k, so a table is computed
+from its lower half, which lies in 1..(p-1)/2 (see load_block_tables).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -46,17 +47,15 @@ def _check_layout(p: int, n: int, generalized: bool) -> None:
         raise ValueError(f"n must be >= 2 and divide p - 1, got p={p}, n={n}")
 
 
-def _cuts(p: int, n: int) -> np.ndarray:
-    """The n + 1 cut points c_0..c_n of n blocks of 1..p-1, in int64."""
-    cuts = np.arange(n + 1, dtype=np.int64) * p // n
-    cuts[-1] = p - 1
-    return cuts
+def _cuts(p: int, n: int) -> list[int]:
+    """The n + 1 cut points c_0..c_n of n blocks of 1..p-1."""
+    return [k * p // n for k in range(n)] + [p - 1]
 
 
 def block_ranges(p: int, n: int, generalized: bool = False) -> tuple[tuple[int, int], ...]:
     """Inclusive (start, end) ranges of the n blocks partitioning 1..p-1."""
     _check_layout(p, n, generalized)
-    cuts = _cuts(p, n).tolist()
+    cuts = _cuts(p, n)
     return tuple((lo + 1, hi) for lo, hi in zip(cuts, cuts[1:]))
 
 
@@ -92,18 +91,38 @@ def load_block_tables(p: int, sizes) -> list[PartialProductTable]:
     """The table of n blocks for every n in sizes, from p's context.
 
     Sizes are taken as valid; the ones the context lacks are computed
-    together, by one range query over all of their blocks.
+    together, from one query of the tree of 1..h, h = (p-1)/2.  With
+    m = n // 2, the cuts c_0..c_m lie in 0..h and c_(n-k) = p-1-c_k, since
+    n does not divide k*p for 0 < k < n.  So, by Wilson (h!**2 == (-1)**(h+1)
+    mod p) and j == -(p - j):
+
+    - block k <= m is c_k! / c_(k-1)! == (-1)**(h+1) h! P(c_k) S(c_(k-1)+1);
+    - block n+1-k is block k times (-1)**(c_k - c_(k-1));
+    - for odd n, the central block is (-1)**(h - c_m) S(c_m + 1)**2,
+
+    with P and S the two walks of PrimeContext.half_products.
     """
     ctx = prime_context(p)
     missing = [n for n in dict.fromkeys(sizes) if n not in ctx.tables]
     if missing:
-        cuts = [_cuts(p, n) for n in missing]
-        lo = np.concatenate([c[:-1] for c in cuts]) + 1
-        hi = np.concatenate([c[1:] for c in cuts])
-        values = iter(ctx.range_products(lo, hi).tolist())
-        for n in missing:
+        h = (p - 1) // 2
+        cuts = [_cuts(p, n)[:n // 2 + 1] for n in missing]
+        hi = [c for low in cuts for c in low[1:]]
+        lo = [c for low in cuts for c in low[:-1]]
+        mid = [low[-1] for n, low in zip(missing, cuts) if n & 1]
+        f, s = ctx.half_products(hi + [h], [c + 1 for c in lo + mid])
+        # f[-1] = h!, and (-1)**(h+1) h! is the inverse of h!
+        lower = f[:-1] * s[:len(lo)] % p * (f[-1] if h & 1 else p - f[-1]) % p
+        upper = np.where(np.subtract(hi, lo) & 1, p - lower, lower).tolist()
+        central = iter([p - v if (h - c) & 1 else v
+                        for v, c in zip((s[len(lo):] ** 2 % p).tolist(), mid)])
+        lower, i = lower.tolist(), 0
+        for n, low in zip(missing, cuts):
+            m = len(low) - 1
+            values = lower[i:i + m] + ([next(central)] if n & 1 else [])
             ctx.tables[n] = PartialProductTable(
-                p=p, n=n, values=tuple(islice(values, n)))
+                p=p, n=n, values=tuple(values + upper[i:i + m][::-1]))
+            i += m
     return [ctx.tables[n] for n in sizes]
 
 

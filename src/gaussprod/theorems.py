@@ -296,7 +296,10 @@ def verify_eq2_parity(p: int, q: int) -> Verdict:
 
 def verify_symmetry(p: int, q: int) -> Verdict:
     """Block k and block q+1-k carry equal products; the central block and
-    the full product are both nonresidues (the latter by Wilson)."""
+    the full product are both nonresidues (the latter by Wilson).  Block
+    q+1-k is built as the mirror of block k, so the equality checks the
+    mirror's sign; the blocks themselves are checked against naive products
+    in the tests."""
     ctx = _check_regime("symmetry", p, q)
     table = partial_products(p, q)
     vals = table.values

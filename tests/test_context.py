@@ -25,20 +25,22 @@ def empty_slot(monkeypatch):
 
 def test_block_tables_match_naive_products(empty_slot):
     # floor-cut blocks at every odd prime q < p and equal blocks at every
-    # q | p - 1, all from one batched query per p, as in a scan; the two
-    # families share the table of each n
+    # n | p - 1 among the odd primes q and the even n = 2, (p-1)/2 and p - 1,
+    # all from one batched query per p, as in a scan; the two families
+    # share the table of each n
     for p in ODD_PRIMES_600:
         qs = [q for q in ODD_PRIMES_600 if q < p]
-        split = [q for q in qs if p % q == 1]
-        tables = load_block_tables(p, qs + split)
+        equal = [q for q in qs if p % q == 1]
+        equal += [n for n in (2, (p - 1) // 2, p - 1) if n > 1]
+        tables = load_block_tables(p, qs + equal)
         for q, table in zip(qs, tables):
             want = naive_partial_products(p, q, generalized=True)
             assert list(table.values) == want, (p, q)
-        for q, table in zip(split, tables[len(qs):]):
-            assert list(table.values) == naive_partial_products(p, q), (p, q)
+        for n, table in zip(equal, tables[len(qs):]):
+            assert list(table.values) == naive_partial_products(p, n), (p, n)
         tables_by_n = prime_context(p).tables
-        assert sorted(tables_by_n) == qs, p
-        assert all(tables_by_n[q] is t for q, t in zip(qs + split, tables)), p
+        assert sorted(tables_by_n) == sorted(set(qs + equal)), p
+        assert all(tables_by_n[n] is t for n, t in zip(qs + equal, tables)), p
 
 
 def test_residue_counts_match_naive():
@@ -62,13 +64,35 @@ def test_block_counts_match_naive(empty_slot):
                     p, q, generalized)
 
 
+def running_products(p):
+    """x! mod p at index x for 0 <= x <= h, and y*(y+1)*...*h mod p at
+    index y - 1 for 1 <= y <= h, with h = (p-1)/2, by plain loops."""
+    h = (p - 1) // 2
+    prefix = [1]
+    for x in range(1, h + 1):
+        prefix.append(prefix[-1] * x % p)
+    suffix = [h]
+    for y in range(h - 1, 0, -1):
+        suffix.append(suffix[-1] * y % p)
+    return prefix, suffix[::-1]
+
+
 def test_half_factorial_matches_math_factorial():
     for p in ODD_PRIMES_600:
-        ctx = PrimeContext(p)
         half = (p - 1) // 2
-        assert int(ctx.factorials([half])[0]) == math.factorial(half) % p, p
-        xs = list(range(p))
-        assert ctx.factorials(xs).tolist() == [math.factorial(x) % p for x in xs]
+        f, s = PrimeContext(p).half_products([half], [1])
+        assert int(f[0]) == int(s[0]) == math.factorial(half) % p, p
+
+
+def test_walks_match_running_products():
+    # every x and y at every odd prime p < 600: p = 3, 5 and 7 have 1 to 3
+    # leaves, and h = (p-1)/2 is odd at every p = 3 (mod 4)
+    for p in ODD_PRIMES_600:
+        h = (p - 1) // 2
+        prefix, suffix = running_products(p)
+        f, s = PrimeContext(p).half_products(np.arange(h + 1), np.arange(1, h + 1))
+        assert f.tolist() == prefix, p
+        assert s.tolist() == suffix, p
 
 
 MID_P = 999983
@@ -90,36 +114,77 @@ def test_reduce_matches_remainder():
     assert context._quotient is buffer
 
 
-def test_kernels_at_a_mid_size_prime():
+def test_kernels_at_a_mid_size_prime(empty_slot):
     # the lower tree levels and the squares are far larger than anything
     # the tests at p < 600 reach; the references are plain Python loops
-    p = MID_P
-    ctx = PrimeContext(p)
+    p, h = MID_P, (MID_P - 1) // 2
+    ctx = prime_context(p)
     j = np.arange(1, p, dtype=np.int64)
     assert np.array_equal(ctx.squares, np.unique(j * j % p))
     running = [1]
     for x in range(1, p):
         running.append(running[-1] * x % p)
-    rng = np.random.default_rng(9)
-    xs = [0, 1, 2, (p - 1) // 2, p - 2, p - 1] + rng.integers(0, p, 44).tolist()
-    assert ctx.factorials(xs).tolist() == [running[x] for x in xs]
     assert running[p - 1] == p - 1  # Wilson
-    ranges = [(1, p - 1), (2, (p - 1) // 2), (5, 4), (p - 3, p + 2),
-              (123457, 876543), (p - 1, p - 1)]
-    lo, hi = (np.array(r, dtype=np.int64) for r in zip(*ranges))
-    want = [0 if h >= p else running[h] * pow(running[l - 1], -1, p) % p
-            for l, h in ranges]
-    assert ctx.range_products(lo, hi).tolist() == want
+    rng = np.random.default_rng(9)
+    xs = [0, 1, 2, h - 1, h] + rng.integers(0, h + 1, 45).tolist()
+    ys = [1, 2, 3, h - 1, h] + rng.integers(1, h + 1, 45).tolist()
+    f, s = ctx.half_products(xs, ys)
+    assert f.tolist() == [running[x] for x in xs]
+    assert s.tolist() == [running[h] * pow(running[y - 1], -1, p) % p for y in ys]
+    # blocks from both walks and their mirrors, against the running product:
+    # n = 2, odd floor-cut n and the equal blocks of 999982 = 2 * 499991
+    for n in (2, 3, 97, 499991):
+        cuts = [k * p // n for k in range(n)] + [p - 1]
+        want = [running[c] * pow(running[b], -1, p) % p
+                for b, c in zip(cuts, cuts[1:])]
+        assert list(load_block_tables(p, [n])[0].values) == want, n
 
 
 def test_tree_stores_no_leaves():
-    # p - 1 leaves have p - 2 inner nodes; each level carries at most one
-    # node up unpaired, which is stored once more
-    ctx = PrimeContext(MID_P)
-    tree = ctx._tree
-    assert tree[0].size == (MID_P - 1) // 2
-    assert tree[-1].size == 1
-    assert sum(level.nbytes for level in tree) <= 8 * (MID_P - 2 + len(tree))
+    # h = (p-1)/2 leaves have h - 1 inner nodes; a level of odd length is
+    # stored with a trailing 1, and its last node is carried up unpaired
+    h = (MID_P - 1) // 2
+    flat, offset = PrimeContext(MID_P)._tree
+    levels = offset.size - 1
+    first = (h + 1) // 2  # the length of level 1, then its padding
+    assert offset[2, 0] == first + first % 2
+    assert flat[-1] == 1
+    assert flat.nbytes <= 8 * (h + levels)
+
+
+def test_tree_storage_is_kept_and_never_shared(monkeypatch, empty_slot):
+    # two primes alternate in the slot, the larger one's tree outgrowing the
+    # storage that the smaller one's tree leaves behind
+    monkeypatch.setattr(context, "_tree_store", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(context, "_tree_owner", None)
+    ns = (3, 7, 11)
+
+    def check(ctx):
+        h = (ctx.p - 1) // 2
+        prefix, suffix = running_products(ctx.p)
+        f, s = ctx.half_products(np.arange(h + 1), np.arange(1, h + 1))
+        assert (f.tolist(), s.tolist()) == (prefix, suffix), ctx.p
+
+    stores = []
+    for p in (1999, 4999, 1999, 4999):
+        # nothing holds the replaced context, so its storage is lent again
+        ctx = prime_context(p)
+        tables = load_block_tables(p, ns)
+        for n, table in zip(ns, tables):
+            assert list(table.values) == naive_partial_products(p, n, True)
+        assert np.shares_memory(ctx._tree[0], context._tree_store), p
+        stores.append(context._tree_store)
+    assert stores[0].size < stores[1].size
+    assert stores[1] is stores[2] is stores[3]
+    # while a context lives, the next context's tree gets new memory
+    held = [prime_context(p) for p in (1999, 4999, 1999)]
+    for ctx in held:
+        check(ctx)
+    for ctx in held:  # and once more, after every tree is built
+        check(ctx)
+    for i, a in enumerate(held):
+        for b in held[i + 1:]:
+            assert not np.shares_memory(a._tree[0], b._tree[0])
 
 
 def test_legendre_matches_naive():

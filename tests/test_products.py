@@ -10,7 +10,6 @@ from gaussprod import (block_counts, block_ranges, enlarged_block_index,
                        residue_cumulative_counts, residue_mask,
                        selected_block_indices, theorem1_product,
                        CongruenceConstraint)
-from gaussprod.context import PrimeContext
 
 from oracles import (naive_block_counts, naive_block_ranges, naive_is_prime,
                      naive_partial_products)
@@ -71,19 +70,34 @@ def test_input_validation():
         block_ranges(11, 4)             # would leave out 9 and 10
 
 
-def test_range_products_match_scalar_loop():
-    # one query for all four ranges: the empty (37, 36), and at p = 101
-    # ranges that run past p - 1 and so hold a multiple of p
-    ranges = ((1, 5), (1, 200), (37, 36), (500, 5000))
-    for p in (101, 99991):
-        want = []
-        for lo, hi in ranges:
-            scalar = 1
-            for j in range(lo, hi + 1):
-                scalar = scalar * j % p
-            want.append(scalar)
-        lo, hi = zip(*ranges)
-        assert PrimeContext(p).range_products(lo, hi).tolist() == want
+def test_block_products_match_scalar_loop():
+    # equal blocks with n of both parities and floor-cut blocks; at
+    # p = 99991 the blocks hold up to 50k integers
+    layouts = {101: ((2, 4, 25, 50, 100), (3, 7, 97)),
+               99991: ((2, 10, 99, 101), (3, 97))}
+    for p, (equal, floor_cut) in layouts.items():
+        for n, generalized in [(n, False) for n in equal] + [(q, True) for q in floor_cut]:
+            want = []
+            for lo, hi in block_ranges(p, n, generalized):
+                scalar = 1
+                for j in range(lo, hi + 1):
+                    scalar = scalar * j % p
+                want.append(scalar)
+            table = (generalized_partial_products(p, n) if generalized
+                     else partial_products(p, n))
+            assert list(table.values) == want, (p, n)
+
+
+def test_block_layouts_are_mirror_symmetric():
+    # c_(n-k) = p - 1 - c_k for the cut points c_0..c_n, on which the block
+    # tables rest: n = 2, every odd prime q < p and every n | p - 1
+    primes = [p for p in range(3, 600) if naive_is_prime(p)]
+    for p in primes:
+        layouts = [(n, False) for n in range(2, p) if (p - 1) % n == 0]
+        layouts += [(q, True) for q in primes if q < p]
+        for n, generalized in layouts:
+            cuts = [0] + [hi for _, hi in block_ranges(p, n, generalized)]
+            assert [p - 1 - c for c in cuts] == cuts[::-1], (p, n, generalized)
 
 
 @given(st.sampled_from(SMALL_PRIMES), st.data())
