@@ -1,17 +1,20 @@
-"""Class numbers h(-p) by three independent routes, plus norm-form data.
+"""Class numbers h(-p) by three routes, plus norm-form data.
 
 All three routes target the imaginary quadratic field of discriminant -p for
 a prime p == 3 (mod 4):
 
 * a half-interval character sum (Dirichlet's closed form),
-* a weighted character sum with floor weights, valid for any auxiliary odd
-  prime q != p,
+* a weighted character sum with floor weights (Lemma 1), valid for any
+  auxiliary odd prime q != p,
 * a direct count of reduced primitive binary quadratic forms of
   discriminant -p.
 
-The routes share no code path beyond the primality test, so pairwise
-agreement is a meaningful cross-check and is enforced by the test suite
-rather than assumed here.
+Dirichlet and Lemma 1 share the prime's context: both count residues with
+its sorted squares (`PrimeContext.squares` and `residue_counts`), so a fault
+there could move both alike.  The independent checks are the forms count,
+which shares nothing with them beyond the primality test, and the naive
+routes in tests/oracles.py; the test suite enforces their agreement rather
+than assuming it here.
 """
 
 from __future__ import annotations
@@ -73,12 +76,24 @@ def class_number_dirichlet(p: int) -> ClassNumberResult:
 
 
 def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
-    """h(-p) from the weighted sum of (a|p) * (q - 1 - 2*floor(a*q/p)).
+    """h(-p) from the weighted sum of (a|p) * (q - 1 - 2*floor(a*q/p)) over
+    0 < a < p/2, divided by q - (q|p).
 
     Valid for p == 3 (mod 4) and any odd prime q != p; the weight degrades
     the plain half-interval sum when q == 2 would be substituted, so q here
     is kept an odd prime and the q-independence of the result is what the
-    cross-check suites exercise.  q < 2**31 keeps the sum inside int64.
+    cross-check suites exercise.
+
+    The weight is a step function of a, so the sum comes from interval
+    counts.  With S(x) the sum of (a|p) over 1 <= a <= x, h = (p-1)/2,
+    q = k*p + q0 and T the sum of (a|p)*a over a <= h,
+    floor(a*q/p) = k*a + #{j >= 1 : c_j < a} for the cuts
+    c_j = floor(j*p/q0), 1 <= j <= J = floor(h*q0/p), so the sum is
+
+        (q - 1)*S(h) - 2*(k*T + J*S(h) - sum of S(c_j)).
+
+    S(x) = 2*R(x) - x with R the residue count of the context, and
+    T = 2*(sum of the residues up to h) - h*(h + 1)/2, needed for q > p only.
     """
     ctx = _discriminant_context(p)
     if q < 3 or q % 2 == 0 or not is_prime(q):
@@ -86,18 +101,19 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     if q == p:
         raise ValueError("q must differ from p")
     if q >= P_LIMIT:
+        # held to the bound of p: every input is checked against P_LIMIT
         raise ValueError(f"q must be below 2**31, got {q}")
     half = (p - 1) // 2
-
-    def weight_sum(a: np.ndarray) -> int:
-        # overwrites a, which the caller hands over
-        a *= q
-        a //= p
-        return a.size * (q - 1) - 2 * int(a.sum())
-
-    # residues add their weight and nonresidues subtract it
-    total = (2 * weight_sum(ctx.squares[:ctx.residue_counts(half)].copy())
-             - weight_sum(np.arange(1, half + 1, dtype=np.int64)))
+    k, q0 = divmod(q, p)
+    cuts = np.arange(1, half * q0 // p + 1, dtype=np.int64)
+    cuts *= p
+    cuts //= q0
+    s_half = 2 * int(ctx.residue_counts(half)) - half
+    s_cuts = 2 * int(ctx.residue_counts(cuts).sum()) - int(cuts.sum())
+    total = (q - 1 - 2 * cuts.size) * s_half + 2 * s_cuts
+    if k:
+        residues = ctx.squares[:ctx.residue_counts(half)]
+        total -= 2 * k * (2 * int(residues.sum()) - half * (half + 1) // 2)
     denom = q - ctx.legendre(q)
     if total % denom:
         raise InternalCheckError(
@@ -108,6 +124,10 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     return ClassNumberResult(p=p, h=h, method=f"lemma1(q={q})")
 
 
+# (b, A) pairs per divisibility mask of class_number_forms
+_FORMS_BLOCK = 1 << 16
+
+
 @cache
 def class_number_forms(p: int) -> ClassNumberResult:
     """h(-p) by counting reduced primitive forms A*x^2 + B*x*y + C*y^2.
@@ -116,22 +136,36 @@ def class_number_forms(p: int) -> ClassNumberResult:
     whenever |B| == A or A == C.  Since -p == 1 (mod 4), B is odd, so the
     content gcd(A, B, C) can never be even and primitivity is automatic for
     prime p.  p == 3 is accepted here (h(-3) = 1) because it is needed as an
-    exponent by the norm-form representation.  Each odd b = |B| takes one
-    vector of candidate A, so memory stays O(sqrt(p)).
+    exponent by the norm-form representation.
+
+    With b = |B|, A divides m = (b^2 + p)/4 = A*C.  Blocks of consecutive
+    odd b meet every A from the block's first b up to sqrt(m) of its last b,
+    about _FORMS_BLOCK pairs at a time: one int32 divisibility mask per
+    block, and the tests for a reduced form on its few hits only.  Memory
+    stays O(_FORMS_BLOCK + sqrt(p)).
     """
     if p % 4 != 3 or not is_prime(p):
         raise ValueError(f"need a prime p == 3 (mod 4), got {p}")
     # A <= C and |B| <= A give p = 4AC - B**2 >= 3A**2
     top = math.isqrt(p // 3)
+    b = np.arange(1, top + 1, 2, dtype=np.int64)
+    m = ((b * b + p) // 4).astype(np.int32)     # at most p/3
+    candidates = np.arange(top + 1, dtype=np.int32)
     count = 0
-    for b in range(1, top + 1, 2):
-        a = np.arange(b, top + 1, dtype=np.int64)
-        num = b * b + p
-        a = a[num % (4 * a) == 0]
-        c = num // (4 * a)
-        reduced = c >= a
+    start = 0
+    while start < b.size:
+        first = int(b[start])
+        stop = min(b.size, start + max(1, _FORMS_BLOCK // (top + 1 - first)))
+        # A*A <= A*C = m
+        end = math.isqrt(int(m[stop - 1])) + 1
+        row, col = np.nonzero(m[start:stop, None] % candidates[first:end] == 0)
+        row += start
+        a = col + first
+        c = m[row] // a
+        reduced = (a >= b[row]) & (c >= a)
         # B = +b and B = -b, except that |B| == A or A == C keeps B = +b only
-        count += int(2 * reduced.sum() - (reduced & ((a == b) | (a == c))).sum())
+        count += int(2 * reduced.sum() - (reduced & ((a == b[row]) | (a == c))).sum())
+        start = stop
     if count < 1:
         raise InternalCheckError(f"no reduced forms found at p={p}")
     return ClassNumberResult(p=p, h=count, method="forms")

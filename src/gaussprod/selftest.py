@@ -143,6 +143,10 @@ FIXTURES: list[tuple[str, str, object, object]] = [
      lambda: classnum.class_number_lemma1(7, 5).h, 1),
     ("classnum", "weighted sum h(-31) via q=7",
      lambda: classnum.class_number_lemma1(31, 7).h, 3),
+    ("classnum", "weighted sum h(-7) via q=29 = 1 (mod 7), no cuts",
+     lambda: classnum.class_number_lemma1(7, 29).h, 1),
+    ("classnum", "weighted sum h(-23) via q=2**31-1 > p",
+     lambda: classnum.class_number_lemma1(23, 2**31 - 1).h, 3),
     ("classnum", "forms h(-3)", lambda: classnum.class_number_forms(3).h, 1),
     ("classnum", "forms h(-11)", lambda: classnum.class_number_forms(11).h, 1),
     ("classnum", "forms h(-23)", lambda: classnum.class_number_forms(23).h, 3),

@@ -7,6 +7,7 @@ from gaussprod, so agreement between the two is meaningful.
 
 import math
 from fractions import Fraction
+from functools import cache
 
 
 def naive_is_prime(n: int) -> bool:
@@ -15,11 +16,16 @@ def naive_is_prime(n: int) -> bool:
     return all(n % d for d in range(2, math.isqrt(n) + 1))
 
 
+@cache
+def _naive_squares(p: int) -> frozenset:
+    return frozenset(x * x % p for x in range(1, p))
+
+
 def naive_legendre(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    return 1 if a in {x * x % p for x in range(1, p)} else -1
+    return 1 if a in _naive_squares(p) else -1
 
 
 def naive_block_ranges(p: int, q: int, generalized: bool):
@@ -68,6 +74,12 @@ def naive_class_number(p: int) -> int:
 def naive_class_number_dirichlet(p: int) -> Fraction:
     s = sum(naive_legendre(a, p) for a in range(1, (p - 1) // 2 + 1))
     return Fraction(s, 2 - naive_legendre(2, p))
+
+
+def naive_lemma1_sum(p: int, q: int) -> int:
+    """Lemma 1's weighted sum of (a|p) * (q - 1 - 2*floor(a*q/p)), 0 < a < p/2."""
+    return sum(naive_legendre(a, p) * (q - 1 - 2 * (a * q // p))
+               for a in range(1, (p - 1) // 2 + 1))
 
 
 def naive_representations(p: int, q: int, h: int):

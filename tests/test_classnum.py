@@ -1,5 +1,8 @@
+import math
 import time
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,13 @@ from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        class_number_forms, class_number_lemma1,
                        hahn_lee_representation, legendre, primes_matching,
                        square_subgroup)
-from gaussprod.classnum import (_hensel_lift, _smallest_b_associate,
-                                _sqrt_mod_prime)
+from gaussprod.classnum import (_FORMS_BLOCK, _hensel_lift,
+                                _smallest_b_associate, _sqrt_mod_prime)
 from gaussprod.products import residue_mask
 
 from oracles import (naive_class_number, naive_class_number_dirichlet,
-                     naive_is_prime, naive_representations)
+                     naive_is_prime, naive_legendre, naive_lemma1_sum,
+                     naive_representations)
 
 P_3MOD4 = primes_matching(1000, [CongruenceConstraint(4, 3)])[1:]  # drop p=3
 
@@ -45,6 +49,33 @@ def test_forms_matches_naive_count():
         assert class_number_forms(p).h == naive_class_number(p), p
 
 
+def test_lemma1_matches_naive_weighted_sum():
+    # q = 1 (mod p) leaves no cut, q = -1 (mod p) the most cuts, and
+    # 2**31 - 1 the largest floor(q/p)
+    small_q = [q for q in range(3, 700, 2) if naive_is_prime(q)]
+    for p in primes_matching(600, [CongruenceConstraint(4, 3)])[1:]:
+        one = next(q for q in range(2 * p + 1, 200 * p, 2 * p) if naive_is_prime(q))
+        minus_one = next(q for q in range(2 * p - 1, 200 * p, 2 * p) if naive_is_prime(q))
+        for q in small_q + [one, minus_one, 2**31 - 1]:
+            if q == p:
+                continue
+            want = Fraction(naive_lemma1_sum(p, q), q - naive_legendre(q, p))
+            assert want.denominator == 1, (p, q)
+            assert class_number_lemma1(p, q).h == want, (p, q)
+
+
+def test_forms_matches_dirichlet_across_blocks():
+    # from p near 4e5 the odd b <= sqrt(p/3) fill two or more blocks of
+    # _FORMS_BLOCK (b, A) pairs
+    for x in np.geomspace(4e5, 3e6, 30, endpoint=False):
+        p = int(x) | 3
+        while not naive_is_prime(p):
+            p += 4
+        top = math.isqrt(p // 3)
+        assert (top + 1) // 2 > _FORMS_BLOCK // top, p
+        assert class_number_forms(p).h == class_number_dirichlet(p).h, p
+
+
 def test_three_routes_agree_near_1e7():
     p = 10_000_019
     assert naive_is_prime(p) and p % 4 == 3
@@ -54,8 +85,8 @@ def test_three_routes_agree_near_1e7():
 
 
 def test_forms_at_2_31_is_fast():
-    # O(sqrt(p)) memory; about 1 s on a 2-vCPU VM, where a loop over every
-    # (A, B) pair would take minutes
+    # O(2**16 + sqrt(p)) memory; about 0.7 s on a 2-vCPU VM, where a loop
+    # over every (A, B) pair would take minutes
     start = time.perf_counter()
     h = class_number_forms.__wrapped__(2**31 - 1).h
     assert time.perf_counter() - start < 20
