@@ -9,12 +9,15 @@ a prime p == 3 (mod 4):
 * a direct count of reduced primitive binary quadratic forms of
   discriminant -p.
 
-Dirichlet and Lemma 1 share the prime's context: both count residues with
-its sorted squares (`PrimeContext.squares` and `residue_counts`), so a fault
-there could move both alike.  The independent checks are the forms count,
-which shares nothing with them beyond the primality test, and the naive
-routes in tests/oracles.py; the test suite enforces their agreement rather
-than assuming it here.
+Dirichlet and Lemma 1 share the stream of j*j mod p over j = 1..(p-1)/2
+(`context._square_chunks`), which gives every nonzero square once and so
+runs in O(2**16) memory: Dirichlet counts the squares <= (p-1)/2, or reads
+that count from the sorted squares when the context already has them, and
+Lemma 1 sums floor(r*q/p) over them.  A fault in the stream could move both
+alike.  The independent checks are the forms count, which shares nothing
+with them beyond the primality test, and the naive routes in
+tests/oracles.py; the test suite enforces their agreement rather than
+assuming it here.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import cache
 import numpy as np
 
 from .arith import is_prime
-from .context import P_LIMIT, PrimeContext, prime_context
+from .context import P_LIMIT, PrimeContext, _square_chunks, prime_context
 from .errors import InternalCheckError, RegimeError
 from .verdict import Verdict, _exact, make_verdict
 
@@ -63,7 +66,7 @@ def class_number_dirichlet(p: int) -> ClassNumberResult:
     ctx = _discriminant_context(p)
     if ctx.class_number is None:
         half = (p - 1) // 2
-        char_sum = 2 * int(ctx.residue_counts(half)) - half
+        char_sum = 2 * ctx.half_residue_count() - half
         denom = 2 - ctx.legendre(2)
         if char_sum % denom:
             raise InternalCheckError(
@@ -84,16 +87,18 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     is kept an odd prime and the q-independence of the result is what the
     cross-check suites exercise.
 
-    The weight is a step function of a, so the sum comes from interval
-    counts.  With S(x) the sum of (a|p) over 1 <= a <= x, h = (p-1)/2,
-    q = k*p + q0 and T the sum of (a|p)*a over a <= h,
-    floor(a*q/p) = k*a + #{j >= 1 : c_j < a} for the cuts
-    c_j = floor(j*p/q0), 1 <= j <= J = floor(h*q0/p), so the sum is
+    With h = (p-1)/2 and r running once over the nonzero squares mod p,
 
-        (q - 1)*S(h) - 2*(k*T + J*S(h) - sum of S(c_j)).
+        sum of (a|p)*(q - 1 - 2*floor(a*q/p)) over 0 < a < p/2
+            = h*(q - 1) - 2*(sum of floor(r*q/p)).
 
-    S(x) = 2*R(x) - x with R the residue count of the context, and
-    T = 2*(sum of the residues up to h) - h*(h + 1)/2, needed for q > p only.
+    Since -1 is a nonresidue, r > h is a residue exactly when p - r <= h is
+    a nonresidue, and floor((p - n)*q/p) = q - 1 - floor(n*q/p) as p does
+    not divide n*q.  So the term of a nonresidue n <= h, minus its weight,
+    is the weight of the residue p - n > h, and the sum is the weight summed
+    over every residue r.  The floors are taken on the stream of squares,
+    where r*q < p*q < 2**62 keeps int64 exact: the reason q must lie below
+    2**31.
     """
     ctx = _discriminant_context(p)
     if q < 3 or q % 2 == 0 or not is_prime(q):
@@ -101,19 +106,13 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     if q == p:
         raise ValueError("q must differ from p")
     if q >= P_LIMIT:
-        # held to the bound of p: every input is checked against P_LIMIT
         raise ValueError(f"q must be below 2**31, got {q}")
-    half = (p - 1) // 2
-    k, q0 = divmod(q, p)
-    cuts = np.arange(1, half * q0 // p + 1, dtype=np.int64)
-    cuts *= p
-    cuts //= q0
-    s_half = 2 * int(ctx.residue_counts(half)) - half
-    s_cuts = 2 * int(ctx.residue_counts(cuts).sum()) - int(cuts.sum())
-    total = (q - 1 - 2 * cuts.size) * s_half + 2 * s_cuts
-    if k:
-        residues = ctx.squares[:ctx.residue_counts(half)]
-        total -= 2 * k * (2 * int(residues.sum()) - half * (half + 1) // 2)
+    floors = 0
+    for chunk in _square_chunks(p):
+        chunk *= q
+        chunk //= p
+        floors += int(chunk.sum())
+    total = (p - 1) // 2 * (q - 1) - 2 * floors
     denom = q - ctx.legendre(q)
     if total % denom:
         raise InternalCheckError(

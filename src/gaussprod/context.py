@@ -7,8 +7,14 @@ multiplication and its applications", 2008).  One vectorised query of the
 tree walks it from both ends, giving x! and y*(y+1)*...*(p-1)/2 mod p for
 many x and y; the upper half mirrors the lower, since j == -(p - j).  The
 block tables, h(-p) and the norm-form representations are kept here too,
-filled in by the products and classnum modules that compute them.  Both
-O(p) kernels reduce mod p by _reduce, which avoids hardware division.
+filled in by the products and classnum modules that compute them.
+
+The squares take 4p bytes and are built only where block counts are read.
+A single count or sum over the residues streams them instead:
+_square_chunks yields j*j mod p for j = 1..(p-1)/2, each residue once, in
+chunks of 2**16, so the residue count of half_residue_count and the floor
+sum of Lemma 1 (classnum) take O(2**16) memory at every p < 2**31.  Every
+O(p) kernel reduces mod p by _reduce, which avoids hardware division.
 
 prime_context(p) keeps the latest context in a single slot.  A scan works
 on one prime at a time, so every lookup inside a verifier hits that slot.
@@ -30,7 +36,9 @@ P_LIMIT = 1 << 31
 
 
 class PrimeContext:
-    """Per-prime state for an odd prime p < 2**31."""
+    """Per-prime state for an odd prime p < 2**31: the sorted squares and
+    the half product tree, each built on first use, and the block tables,
+    h(-p) and representations kept for p."""
 
     def __init__(self, p: int) -> None:
         if p >= P_LIMIT:
@@ -64,6 +72,16 @@ class PrimeContext:
     def residue_counts(self, x) -> np.ndarray:
         """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p."""
         return np.searchsorted(self.squares, x, "right")
+
+    def half_residue_count(self) -> int:
+        """How many quadratic residues lie in 1..(p-1)/2: read from the
+        squares when they are built, otherwise counted over _square_chunks,
+        which is faster than building them and takes O(2**16) memory."""
+        half = (self.p - 1) // 2
+        if "squares" in vars(self):
+            return int(self.residue_counts(half))
+        return sum(int(np.count_nonzero(chunk <= half))
+                   for chunk in _square_chunks(self.p))
 
     @cached_property
     def _tree(self) -> tuple[np.ndarray, np.ndarray]:
@@ -155,6 +173,18 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
         quotient *= p
         part -= quotient
     return a
+
+
+def _square_chunks(p: int):
+    """Yield j*j mod p for j = 1..(p-1)/2, which is every nonzero square mod
+    p once, as int64 arrays in the order of j.  A chunk has the 2**16
+    entries of the quotient buffer, so _reduce takes it in one pass, and is
+    a fresh array, the caller's to change."""
+    half = (p - 1) // 2
+    for start in range(1, half + 1, _quotient.size):
+        chunk = np.arange(start, min(start + _quotient.size, half + 1), dtype=np.int64)
+        chunk *= chunk
+        yield _reduce(chunk, p)
 
 
 def prime_context(p: int) -> PrimeContext:

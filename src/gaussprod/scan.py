@@ -20,7 +20,7 @@ import time
 from dataclasses import asdict, dataclass
 
 from .arith import is_prime, primes_matching
-from .context import P_LIMIT
+from .context import P_LIMIT, prime_context
 from .products import load_block_tables
 from .theorems import (REGIMES, THEOREM_IDS, _VERIFIERS, block_layout,
                        regime_q_reason, scan_domain)
@@ -96,6 +96,10 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     for p, work in unit:
         sizes = [block_layout(tid, q) for tid, q in work]
         load_block_tables(p, [n for n in sizes if n is not None])
+        if any(REGIMES[tid].counts for tid, _ in work):
+            # built before any verifier runs, so that h(-p) is read from the
+            # squares instead of streamed at a prime that builds them anyway
+            prime_context(p).squares
         for tid, q in work:
             # looked up per call, so a replaced verifier takes effect at once
             out.append(_VERIFIERS[tid](p, q))

@@ -17,8 +17,8 @@ from .classnum import (class_number_dirichlet, hahn_lee_representation,
                        square_subgroup)
 from .context import PrimeContext, prime_context
 from .errors import RegimeError
-from .products import (block_counts, enlarged_block_index, partial_products,
-                       selected_block_indices, theorem1_product)
+from .products import (block_counts, block_ranges, enlarged_block_index,
+                       partial_products, selected_block_indices, theorem1_product)
 from .verdict import Verdict, _exact, make_verdict
 
 __all__ = [
@@ -51,6 +51,8 @@ class Regime:
     p > 3 instead.  blocks says whether the verifier reads the table of
     n = q blocks (n = 2, the halves, for a claim without q); equal and
     floor-cut blocks share that table, as their cuts coincide when n | p - 1.
+    counts says whether it reads the residue counts of those blocks
+    (block_counts), which build p's sorted squares.
     """
 
     p_mod_q: int | None
@@ -58,6 +60,7 @@ class Regime:
     q_min: int = 3
     q_mod_4: int | None = None
     blocks: bool = True
+    counts: bool = False
 
     def p_classes(self, q: int | None) -> tuple[list[tuple[int, int]], int]:
         """The (modulus, residue) classes p must lie in, and the strict
@@ -75,8 +78,8 @@ REGIMES = {
     "eq_a": Regime(p_mod_q=1, p_mod_4=None, q_min=5, q_mod_4=3),
     "t2": Regime(p_mod_q=1, p_mod_4=3, q_mod_4=3),
     "t3": Regime(p_mod_q=2, p_mod_4=3),
-    "t4": Regime(p_mod_q=3, p_mod_4=3, q_min=5),
-    "eq2_parity": Regime(p_mod_q=1, p_mod_4=3, blocks=False),
+    "t4": Regime(p_mod_q=3, p_mod_4=3, q_min=5, counts=True),
+    "eq2_parity": Regime(p_mod_q=1, p_mod_4=3, blocks=False, counts=True),
     "symmetry": Regime(p_mod_q=1, p_mod_4=3),
 }
 
@@ -226,12 +229,11 @@ def verify_theorem3(p: int, q: int) -> Verdict:
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
     else:
         predicted_sym = -1 if (1 + (h + 1) // 2) % 2 else 1
-    counts = block_counts(p, q, generalized=True)
     base = (p - 2) // q
     center = (q + 1) // 2
     sizes_ok = 1 if all(
-        counts.block_size(k) == base + (1 if k == center else 0)
-        for k in range(1, q + 1)) else 0
+        hi - lo + 1 == base + (1 if k == center else 0)
+        for k, (lo, hi) in enumerate(block_ranges(p, q, generalized=True), start=1)) else 0
     return make_verdict("t3", p, q, (predicted_sym, 1), (sym, sizes_ok),
                         detail=f"product={value} h(-p)={h} q%16={qm}")
 
@@ -243,13 +245,14 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     ctx = _check_regime("t4", p, q)
     value = theorem1_product(p, q, generalized=True)
     sym = ctx.legendre(value)
+    # counted first, so that h(-p) is read from the squares they build
+    counts = block_counts(p, q, generalized=True)
     h = class_number_dirichlet(p).h
     qm = q % 12
     if qm in (1, 11):
         predicted_sym = 1
     else:
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
-    counts = block_counts(p, q, generalized=True)
     base = (p - 3) // q
     kstar = enlarged_block_index(q)
     enlarged = {kstar, q + 1 - kstar}

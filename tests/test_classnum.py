@@ -1,12 +1,19 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gaussprod
+import gaussprod.context as context
 from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        beta_identity_check, class_number_dirichlet,
                        class_number_forms, class_number_lemma1,
@@ -14,6 +21,7 @@ from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        square_subgroup)
 from gaussprod.classnum import (_FORMS_BLOCK, _hensel_lift,
                                 _smallest_b_associate, _sqrt_mod_prime)
+from gaussprod.context import PrimeContext
 from gaussprod.products import residue_mask
 
 from oracles import (naive_class_number, naive_class_number_dirichlet,
@@ -64,16 +72,50 @@ def test_lemma1_matches_naive_weighted_sum():
             assert class_number_lemma1(p, q).h == want, (p, q)
 
 
-def test_forms_matches_dirichlet_across_blocks():
+def test_forms_matches_dirichlet_across_blocks(monkeypatch):
     # from p near 4e5 the odd b <= sqrt(p/3) fill two or more blocks of
-    # _FORMS_BLOCK (b, A) pairs
+    # _FORMS_BLOCK (b, A) pairs, and the stream of squares, h = (p-1)/2
+    # values, several chunks of 2**16 with a partial last one
     for x in np.geomspace(4e5, 3e6, 30, endpoint=False):
         p = int(x) | 3
         while not naive_is_prime(p):
             p += 4
         top = math.isqrt(p // 3)
         assert (top + 1) // 2 > _FORMS_BLOCK // top, p
-        assert class_number_forms(p).h == class_number_dirichlet(p).h, p
+        half = (p - 1) // 2
+        assert half > 1 << 16 and half % (1 << 16), p
+        h = class_number_forms(p).h
+        # Dirichlet streams on a fresh context and reads built squares
+        fresh = PrimeContext(p)
+        monkeypatch.setattr(context, "_slot", fresh)
+        assert class_number_dirichlet(p).h == h, p
+        assert "squares" not in vars(fresh), p
+        built = PrimeContext(p)
+        assert built.squares.size == half
+        monkeypatch.setattr(context, "_slot", built)
+        assert class_number_dirichlet(p).h == h, p
+        for q in (3, 97, 2**31 - 1):
+            assert class_number_lemma1(p, q).h == h, (p, q)
+
+
+def test_class_number_in_bounded_memory():
+    # the squares at p = 268,435,399 would take 1 GiB, the whole cap of the
+    # child; every route to h(-p) runs in O(2**16 + sqrt(p)) memory
+    p, q_below_p = 268_435_399, 268_435_367
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = (f"from gaussprod import *\n"
+            f"print(class_number_dirichlet({p}).h, class_number_forms({p}).h,"
+            f" class_number_lemma1({p}, 3).h, class_number_lemma1({p}, {q_below_p}).h)")
+    src = str(Path(gaussprod.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, preexec_fn=cap_address_space,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["7545"] * 4
 
 
 def test_three_routes_agree_near_1e7():

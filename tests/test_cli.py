@@ -179,14 +179,15 @@ def test_compute_usage_errors(capsys):
 
 
 def test_compute_out_of_memory_is_a_usage_error():
-    # the 8 GiB of squares at p = 2**31 - 1 cannot fit under a 2 GiB cap
+    # block counts read the sorted squares, whose 8 GiB build at
+    # p = 2**31 - 1 cannot fit under a 2 GiB cap (h(-p) streams instead)
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
     src = str(Path(gaussprod.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-m", "gaussprod", "compute", "--what",
-                          "classnumber", "--p", str(2**31 - 1)],
+                          "counts", "--p", str(2**31 - 1), "--q", "3"],
                          capture_output=True, text=True, env=env,
                          preexec_fn=cap_address_space, timeout=120)
     assert run.returncode == 2, run.stderr

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -248,3 +249,28 @@ def test_scan_never_builds_a_mask(monkeypatch, empty_slot):
     assert ctx.squares.size == 999
     for name in ("mask", "cum"):
         assert not hasattr(ctx, name), name
+
+
+def test_scan_never_streams_where_it_builds_the_squares(monkeypatch, empty_slot):
+    # h(-p) streams at a prime that reads no block counts; where t4 or
+    # eq2_parity reads them, the scan builds the squares first and
+    # Dirichlet reads them, whatever the order of the verifiers
+    streamed, built = set(), set()
+    stream = context._square_chunks
+
+    def recording_stream(p):
+        streamed.add(p)
+        return stream(p)
+
+    class Recording(PrimeContext):
+        @cached_property
+        def squares(self):
+            built.add(self.p)
+            return super().squares
+
+    monkeypatch.setattr(context, "_square_chunks", recording_stream)
+    monkeypatch.setattr(context, "PrimeContext", Recording)
+    report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1))
+    assert all(v.passed for v in report.verdicts)
+    assert streamed and built
+    assert not streamed & built, sorted(streamed & built)
