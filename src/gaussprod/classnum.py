@@ -9,15 +9,16 @@ a prime p == 3 (mod 4):
 * a direct count of reduced primitive binary quadratic forms of
   discriminant -p.
 
-Dirichlet and Lemma 1 share the stream of j*j mod p over j = 1..(p-1)/2
-(`context._square_chunks`), which gives every nonzero square once and so
-runs in O(2**16) memory: Dirichlet counts the squares <= (p-1)/2, or reads
-that count from the sorted squares when the context already has them, and
-Lemma 1 sums floor(r*q/p) over them.  A fault in the stream could move both
-alike.  The independent checks are the forms count, which shares nothing
-with them beyond the primality test, and the naive routes in
-tests/oracles.py; the test suite enforces their agreement rather than
-assuming it here.
+Dirichlet and Lemma 1 both read the nonzero squares mod p.  Where the
+context has built its residue index (a scan prime with block counts),
+Dirichlet reads the count of residues <= (p-1)/2 from it; elsewhere it
+streams floor(j*j/p) over j = 1..(p-1)/2 (`PrimeContext.square_floor_sum`),
+in O(2**16) memory.  Lemma 1 sums floor(r*q/p) over the stream of j*j mod p
+(`context._square_chunks`), which gives every nonzero square once.  A fault
+in j*j could move both alike.  The independent checks are the forms count,
+which shares nothing with them beyond the primality test, and the naive
+routes in tests/oracles.py; the test suite enforces their agreement rather
+than assuming it here.
 """
 
 from __future__ import annotations
@@ -62,16 +63,29 @@ def _discriminant_context(p: int) -> PrimeContext:
 
 
 def class_number_dirichlet(p: int) -> ClassNumberResult:
-    """h(-p) = (sum of (a|p) over 0 < a < p/2) / (2 - (2|p)), for p == 3 (mod 4)."""
+    """h(-p) for p == 3 (mod 4), p >= 7, by Dirichlet's class number formula.
+
+    Where p's residue index is built, from the half-interval sum: h(-p) is
+    (sum of (a|p) over 0 < a < p/2) / (2 - (2|p)), and that sum is 2R - h'
+    with h' = (p-1)/2 and R the number of residues <= h'.  Elsewhere from
+    the first moment, the sum of a*(a|p) over 0 < a < p, which is -p*h(-p):
+    as j runs over 1..h', j*j - p*floor(j*j/p) gives each residue once,
+    residues and nonresidues together sum to p*h' and 2h' + 1 = p, so
+
+        h(-p) = h' - h'(h' + 1)/3 + 2*(sum of floor(j*j/p) over j <= h').
+    """
     ctx = _discriminant_context(p)
     if ctx.class_number is None:
         half = (p - 1) // 2
-        char_sum = 2 * ctx.half_residue_count() - half
-        denom = 2 - ctx.legendre(2)
-        if char_sum % denom:
-            raise InternalCheckError(
-                f"half-interval character sum {char_sum} not divisible by {denom} at p={p}")
-        h = char_sum // denom
+        if ctx.has_residue_index:
+            char_sum = 2 * int(ctx.residue_counts(half)) - half
+            denom = 2 - ctx.legendre(2)
+            if char_sum % denom:
+                raise InternalCheckError(
+                    f"half-interval character sum {char_sum} not divisible by {denom} at p={p}")
+            h = char_sum // denom
+        else:
+            h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
         if h < 1:
             raise InternalCheckError(f"nonpositive class number {h} at p={p}")
         ctx.class_number = ClassNumberResult(p=p, h=h, method="dirichlet")

@@ -1,20 +1,22 @@
 """Per-prime state: one PrimeContext holds everything derived from a prime p.
 
 The context validates p once and builds each field on first use: the
-sorted quadratic residues, which count the residues in 1..x by binary
-search, and a product tree of the lower half 1..(p-1)/2 (Bernstein, "Fast
-multiplication and its applications", 2008).  One vectorised query of the
-tree walks it from both ends, giving x! and y*(y+1)*...*(p-1)/2 mod p for
-many x and y; the upper half mirrors the lower, since j == -(p - j).  The
-block tables, h(-p) and the norm-form representations are kept here too,
-filled in by the products and classnum modules that compute them.
+residue index, which counts the residues in 1..x, and a product tree of
+the lower half 1..(p-1)/2 (Bernstein, "Fast multiplication and its
+applications", 2008).  One vectorised query of the tree walks it from both
+ends, giving x! and y*(y+1)*...*(p-1)/2 mod p for many x and y; the upper
+half mirrors the lower, since j == -(p - j).  The block tables, h(-p) and
+the norm-form representations are kept here too, filled in by the products
+and classnum modules that compute them.
 
-The squares take 4p bytes and are built only where block counts are read.
-A single count or sum over the residues streams them instead:
-_square_chunks yields j*j mod p for j = 1..(p-1)/2, each residue once, in
-chunks of 2**16, so the residue count of half_residue_count and the floor
-sum of Lemma 1 (classnum) take O(2**16) memory at every p < 2**31.  Every
-O(p) kernel reduces mod p by _reduce, which avoids hardware division.
+The residue index is a bitmap of the nonzero squares mod p, 64 to a word,
+with a rank directory of the set bits before each word: p/4 bytes kept, a
+count in two gathers and a popcount.  _square_chunks yields j*j mod p for
+j = 1..(p-1)/2, each residue once, in chunks of 2**16; the index marks
+them, and the floor sum of Lemma 1 (classnum) streams them in O(2**16)
+memory at every p < 2**31, as square_floor_sum streams the quotients
+floor(j*j/p) for Dirichlet's h(-p).  Every O(p) kernel reduces mod p by
+_reduce, which avoids hardware division.
 
 prime_context(p) keeps the latest context in a single slot.  A scan works
 on one prime at a time, so every lookup inside a verifier hits that slot.
@@ -36,7 +38,7 @@ P_LIMIT = 1 << 31
 
 
 class PrimeContext:
-    """Per-prime state for an odd prime p < 2**31: the sorted squares and
+    """Per-prime state for an odd prime p < 2**31: the residue index and
     the half product tree, each built on first use, and the block tables,
     h(-p) and representations kept for p."""
 
@@ -55,33 +57,46 @@ class PrimeContext:
         self.representations: dict = {}
 
     @cached_property
-    def squares(self) -> np.ndarray:
-        """The nonzero squares mod p in ascending order, each once."""
+    def residue_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(words, rank): bit x of the little-endian uint64 words is set
+        exactly when x is a nonzero square mod p, and rank[w] is the number
+        of set bits in words[:w].  p/4 bytes; the build marks a p-byte bool
+        array, padded to whole words, and packs it."""
         p = self.p
-        # j and p - j have the same square, so j <= (p-1)/2 gives each once;
-        # being distinct values below p, they sort by marking
-        raw = np.arange(1, (p + 1) // 2, dtype=np.int64)
-        raw *= raw
-        marks = np.zeros(p, dtype=bool)
-        marks[_reduce(raw, p)] = True
-        del raw
-        squares = np.flatnonzero(marks)
-        squares.flags.writeable = False
-        return squares
+        marks = np.zeros(-(-p // 64) * 64, dtype=bool)
+        for chunk in _square_chunks(p):
+            marks[chunk] = True
+        words = np.packbits(marks, bitorder="little").view("<u8")
+        del marks
+        rank = np.zeros(words.size, dtype=np.int64)
+        np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:])
+        words.flags.writeable = rank.flags.writeable = False
+        return words, rank
+
+    @property
+    def has_residue_index(self) -> bool:
+        """Whether the residue index is built."""
+        return "residue_index" in vars(self)
 
     def residue_counts(self, x) -> np.ndarray:
-        """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p."""
-        return np.searchsorted(self.squares, x, "right")
+        """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p:
+        the rank of x's word plus the set bits of that word up to bit x."""
+        words, rank = self.residue_index
+        x = np.asarray(x, dtype=np.int64)
+        w = x >> 6
+        return rank[w] + np.bitwise_count(words[w] << (63 - (x & 63)).astype(np.uint64))
 
-    def half_residue_count(self) -> int:
-        """How many quadratic residues lie in 1..(p-1)/2: read from the
-        squares when they are built, otherwise counted over _square_chunks,
-        which is faster than building them and takes O(2**16) memory."""
-        half = (self.p - 1) // 2
-        if "squares" in vars(self):
-            return int(self.residue_counts(half))
-        return sum(int(np.count_nonzero(chunk <= half))
-                   for chunk in _square_chunks(self.p))
+    def square_floor_sum(self) -> int:
+        """The sum of floor(j*j/p) over j = 1..(p-1)/2, in chunks of 2**16
+        into the quotient buffer: O(2**16) memory.  j*j < 2**60 and the sum,
+        below p**2/24 < 2**59, keep int64 exact at every p < 2**31."""
+        p, half = self.p, (self.p - 1) // 2
+        total = 0
+        for start in range(1, half + 1, _quotient.size):
+            j = np.arange(start, min(start + _quotient.size, half + 1), dtype=np.int64)
+            j *= j
+            total += int(np.floor_divide(j, p, out=_quotient[:j.size]).sum())
+        return total
 
     @cached_property
     def _tree(self) -> tuple[np.ndarray, np.ndarray]:

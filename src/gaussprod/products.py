@@ -140,11 +140,10 @@ def generalized_partial_products(p: int, q: int) -> PartialProductTable:
 
 def residue_mask(p: int) -> np.ndarray:
     """Boolean array of length p: entry v is True iff v is a nonzero square
-    mod p.  Built on each call; the package itself counts residues without it."""
-    squares = prime_context(p).squares
-    mask = np.zeros(p, dtype=bool)
-    mask[squares] = True
-    return mask
+    mod p.  Unpacked from the residue index on each call; the package itself
+    counts residues without it."""
+    words, _ = prime_context(p).residue_index
+    return np.unpackbits(words.view(np.uint8), count=p, bitorder="little").view(bool)
 
 
 def residue_cumulative_counts(p: int) -> np.ndarray:
@@ -168,10 +167,12 @@ class BlockCounts:
 def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:
     """Count residues/nonresidues inside each block of 1..p-1."""
     _check_layout(p, q, generalized)
-    cuts = _cuts(p, q)
-    res = np.diff(prime_context(p).residue_counts(cuts))
+    cuts = np.array(_cuts(p, q))
+    counts = prime_context(p).residue_counts(cuts)
+    # differences by slicing, which costs less than np.diff on q + 1 entries
+    res = counts[1:] - counts[:-1]
     return BlockCounts(p=p, q=q, residues=tuple(res.tolist()),
-                       nonresidues=tuple((np.diff(cuts) - res).tolist()))
+                       nonresidues=tuple((cuts[1:] - cuts[:-1] - res).tolist()))
 
 
 def selected_block_indices(q: int) -> tuple[int, ...]:

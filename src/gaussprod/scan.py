@@ -98,8 +98,8 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
         load_block_tables(p, [n for n in sizes if n is not None])
         if any(REGIMES[tid].counts for tid, _ in work):
             # built before any verifier runs, so that h(-p) is read from the
-            # squares instead of streamed at a prime that builds them anyway
-            prime_context(p).squares
+            # residue index instead of streamed at a prime that builds it anyway
+            prime_context(p).residue_index
         for tid, q in work:
             # looked up per call, so a replaced verifier takes effect at once
             out.append(_VERIFIERS[tid](p, q))

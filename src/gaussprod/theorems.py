@@ -52,7 +52,7 @@ class Regime:
     n = q blocks (n = 2, the halves, for a claim without q); equal and
     floor-cut blocks share that table, as their cuts coincide when n | p - 1.
     counts says whether it reads the residue counts of those blocks
-    (block_counts), which build p's sorted squares.
+    (block_counts), which build p's residue index.
     """
 
     p_mod_q: int | None
@@ -245,7 +245,7 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     ctx = _check_regime("t4", p, q)
     value = theorem1_product(p, q, generalized=True)
     sym = ctx.legendre(value)
-    # counted first, so that h(-p) is read from the squares they build
+    # counted first, so that h(-p) is read from the residue index they build
     counts = block_counts(p, q, generalized=True)
     h = class_number_dirichlet(p).h
     qm = q % 12

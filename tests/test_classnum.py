@@ -74,8 +74,8 @@ def test_lemma1_matches_naive_weighted_sum():
 
 def test_forms_matches_dirichlet_across_blocks(monkeypatch):
     # from p near 4e5 the odd b <= sqrt(p/3) fill two or more blocks of
-    # _FORMS_BLOCK (b, A) pairs, and the stream of squares, h = (p-1)/2
-    # values, several chunks of 2**16 with a partial last one
+    # _FORMS_BLOCK (b, A) pairs, and the streams over j = 1..(p-1)/2 take
+    # several chunks of 2**16 with a partial last one
     for x in np.geomspace(4e5, 3e6, 30, endpoint=False):
         p = int(x) | 3
         while not naive_is_prime(p):
@@ -85,37 +85,70 @@ def test_forms_matches_dirichlet_across_blocks(monkeypatch):
         half = (p - 1) // 2
         assert half > 1 << 16 and half % (1 << 16), p
         h = class_number_forms(p).h
-        # Dirichlet streams on a fresh context and reads built squares
+        # Dirichlet streams on a fresh context and reads a built index
         fresh = PrimeContext(p)
         monkeypatch.setattr(context, "_slot", fresh)
         assert class_number_dirichlet(p).h == h, p
-        assert "squares" not in vars(fresh), p
+        assert "residue_index" not in vars(fresh), p
         built = PrimeContext(p)
-        assert built.squares.size == half
+        assert int(built.residue_counts(p - 1)) == half
         monkeypatch.setattr(context, "_slot", built)
         assert class_number_dirichlet(p).h == h, p
         for q in (3, 97, 2**31 - 1):
             assert class_number_lemma1(p, q).h == h, (p, q)
 
 
-def test_class_number_in_bounded_memory():
-    # the squares at p = 268,435,399 would take 1 GiB, the whole cap of the
-    # child; every route to h(-p) runs in O(2**16 + sqrt(p)) memory
-    p, q_below_p = 268_435_399, 268_435_367
+def test_streamed_dirichlet_matches_forms():
+    # the first-moment formula on a fresh context, which has no residue
+    # index, at every prime p == 3 (mod 4) with 7 <= p < 2e4
+    for p in primes_matching(20_000, [CongruenceConstraint(4, 3)])[1:]:
+        ctx = PrimeContext(p)
+        half = (p - 1) // 2
+        h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
+        assert h == class_number_forms(p).h, p
+        assert not ctx.has_residue_index, p
 
+
+BOUNDED_P = 268_435_399
+
+
+def run_capped(code):
+    """Run code in a child whose address space is capped at 1 GiB."""
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    code = (f"from gaussprod import *\n"
-            f"print(class_number_dirichlet({p}).h, class_number_forms({p}).h,"
-            f" class_number_lemma1({p}, 3).h, class_number_lemma1({p}, {q_below_p}).h)")
     src = str(Path(gaussprod.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, preexec_fn=cap_address_space,
-                         timeout=120)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, preexec_fn=cap_address_space,
+                          timeout=120)
+
+
+def test_class_number_in_bounded_memory():
+    # a sorted list of the squares at p = 268,435,399 would take 1 GiB, the
+    # whole cap of the child; every route to h(-p) runs in O(2**16 + sqrt(p))
+    # memory
+    p, q_below_p = BOUNDED_P, 268_435_367
+    run = run_capped(
+        f"from gaussprod import *\n"
+        f"print(class_number_dirichlet({p}).h, class_number_forms({p}).h,"
+        f" class_number_lemma1({p}, 3).h, class_number_lemma1({p}, {q_below_p}).h)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["7545"] * 4
+
+
+def test_block_counts_in_bounded_memory():
+    # the residue index at p = 268,435,399 keeps p/4 bytes, and its build
+    # peaks near 1.25p, within the 1 GiB cap; Dirichlet then reads the index
+    p = BOUNDED_P
+    run = run_capped(
+        f"from gaussprod import *\n"
+        f"from gaussprod.context import prime_context\n"
+        f"c = block_counts({p}, 97, generalized=True)\n"
+        f"print(sum(c.residues), prime_context({p}).has_residue_index,"
+        f" class_number_dirichlet({p}).h)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [str((p - 1) // 2), "True", "7545"]
 
 
 def test_three_routes_agree_near_1e7():

@@ -179,8 +179,9 @@ def test_compute_usage_errors(capsys):
 
 
 def test_compute_out_of_memory_is_a_usage_error():
-    # block counts read the sorted squares, whose 8 GiB build at
-    # p = 2**31 - 1 cannot fit under a 2 GiB cap (h(-p) streams instead)
+    # block counts read the residue index, whose build at p = 2**31 - 1
+    # marks a p-byte array, 2 GiB alone, which cannot fit under a 2 GiB cap
+    # (h(-p) streams instead)
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 

@@ -115,13 +115,35 @@ def test_reduce_matches_remainder():
     assert context._quotient is buffer
 
 
+def residue_counts_by_mask(p):
+    """How many nonzero squares mod p lie in 1..x, at every x < p."""
+    j = np.arange(1, p, dtype=np.int64)
+    mask = np.zeros(p, dtype=np.int64)
+    mask[np.unique(j * j % p)] = 1
+    return np.cumsum(mask)
+
+
+def test_residue_counts_at_word_boundaries():
+    # p = 127 ends inside its last word, 193 and 257 one bit into a new
+    # word, 4099 a few bits past word 64; x = 63 and 64 sit on either side
+    # of the first word boundary
+    for p in (127, 131, 191, 193, 257, 4099):
+        xs = [0, 63, 64, p - 1]
+        want = residue_counts_by_mask(p)[xs].tolist()
+        assert PrimeContext(p).residue_counts(xs).tolist() == want, p
+        assert want[-1] == (p - 1) // 2, p
+
+
 def test_kernels_at_a_mid_size_prime(empty_slot):
-    # the lower tree levels and the squares are far larger than anything
-    # the tests at p < 600 reach; the references are plain Python loops
+    # the lower tree levels and the residue index are far larger than
+    # anything the tests at p < 600 reach; the references are plain Python
+    # loops and a mask of the squares
     p, h = MID_P, (MID_P - 1) // 2
     ctx = prime_context(p)
-    j = np.arange(1, p, dtype=np.int64)
-    assert np.array_equal(ctx.squares, np.unique(j * j % p))
+    counts = residue_counts_by_mask(p)
+    assert np.array_equal(ctx.residue_counts(np.arange(p)), counts)
+    words, rank = ctx.residue_index
+    assert words.nbytes + rank.nbytes <= MID_P // 4 + 64
     running = [1]
     for x in range(1, p):
         running.append(running[-1] * x % p)
@@ -235,7 +257,7 @@ def test_scan_builds_one_context_per_prime(monkeypatch, empty_slot):
 
 
 def test_scan_never_builds_a_mask(monkeypatch, empty_slot):
-    # residue counts come from the sorted squares; the p-sized mask and its
+    # residue counts come from the residue index; the p-sized mask and its
     # cumulative counts are public helpers only, built on demand
     def refuse(p):
         raise AssertionError(f"residue table built at p={p}")
@@ -246,29 +268,27 @@ def test_scan_never_builds_a_mask(monkeypatch, empty_slot):
     assert {v.theorem_id for v in report.verdicts} == set(THEOREM_IDS)
     assert all(v.passed for v in report.verdicts)
     ctx = PrimeContext(1999)
-    assert ctx.squares.size == 999
+    assert int(ctx.residue_counts(1998)) == 999
     for name in ("mask", "cum"):
         assert not hasattr(ctx, name), name
 
 
 def test_scan_never_streams_where_it_builds_the_squares(monkeypatch, empty_slot):
     # h(-p) streams at a prime that reads no block counts; where t4 or
-    # eq2_parity reads them, the scan builds the squares first and
-    # Dirichlet reads them, whatever the order of the verifiers
+    # eq2_parity reads them, the scan builds the residue index first and
+    # Dirichlet reads it, whatever the order of the verifiers
     streamed, built = set(), set()
-    stream = context._square_chunks
-
-    def recording_stream(p):
-        streamed.add(p)
-        return stream(p)
 
     class Recording(PrimeContext):
-        @cached_property
-        def squares(self):
-            built.add(self.p)
-            return super().squares
+        def square_floor_sum(self):
+            streamed.add(self.p)
+            return super().square_floor_sum()
 
-    monkeypatch.setattr(context, "_square_chunks", recording_stream)
+        @cached_property
+        def residue_index(self):
+            built.add(self.p)
+            return super().residue_index
+
     monkeypatch.setattr(context, "PrimeContext", Recording)
     report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1))
     assert all(v.passed for v in report.verdicts)
