@@ -1,13 +1,17 @@
 """Per-prime state: one PrimeContext holds everything derived from a prime p.
 
-The context validates p once and builds each field on first use: the
-residue index, which counts the residues in 1..x, and a product tree of
-the lower half 1..(p-1)/2 (Bernstein, "Fast multiplication and its
-applications", 2008).  One vectorised query of the tree walks it from both
-ends, giving x! and y*(y+1)*...*(p-1)/2 mod p for many x and y; the upper
-half mirrors the lower, since j == -(p - j).  The block tables, h(-p) and
-the norm-form representations are kept here too, filled in by the products
+The context validates p once and builds its residue index, which counts
+the residues in 1..x, on first use.  The block tables, h(-p) and the
+norm-form representations are kept here too, filled in by the products
 and classnum modules that compute them.
+
+Block products come from a product tree of the lower half 1..(p-1)/2
+(Bernstein, "Fast multiplication and its applications", 2008), built for a
+batch of primes at once, one row per prime, and read by half_products: one
+vectorised gather walks it from both ends, giving x! and
+y*(y+1)*...*(p-1)/2 mod p for many (prime, x) and (prime, y); the upper
+half mirrors the lower, since j == -(p - j).  No context holds a tree: it
+lives in one kept array, rebuilt by every query.
 
 The residue index is a bitmap of the nonzero squares mod p, 64 to a word,
 with a rank directory of the set bits before each word: p/4 bytes kept, a
@@ -18,29 +22,29 @@ memory at every p < 2**31, as square_floor_sum streams the quotients
 floor(j*j/p) for Dirichlet's h(-p).  Every O(p) kernel reduces mod p by
 _reduce, which avoids hardware division.
 
-prime_context(p) keeps the latest context in a single slot.  A scan works
-on one prime at a time, so every lookup inside a verifier hits that slot.
+prime_context(p) keeps the latest context in a single slot.  A scan puts
+each prime's context there (use_context) before its verifiers run, so every
+lookup inside a verifier hits that slot.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import cached_property
 
 import numpy as np
 
 from .arith import is_prime
 
-__all__ = ["P_LIMIT", "PrimeContext", "prime_context"]
+__all__ = ["P_LIMIT", "PrimeContext", "half_products", "prime_context", "use_context"]
 
 # int64 stays exact for products of two residues and for j*j below this bound
 P_LIMIT = 1 << 31
 
 
 class PrimeContext:
-    """Per-prime state for an odd prime p < 2**31: the residue index and
-    the half product tree, each built on first use, and the block tables,
-    h(-p) and representations kept for p."""
+    """Per-prime state for an odd prime p < 2**31: the residue index, built
+    on first use, and the block tables, h(-p) and representations kept for
+    p."""
 
     def __init__(self, p: int) -> None:
         if p >= P_LIMIT:
@@ -98,70 +102,6 @@ class PrimeContext:
             total += int(np.floor_divide(j, p, out=_quotient[:j.size]).sum())
         return total
 
-    @cached_property
-    def _tree(self) -> tuple[np.ndarray, np.ndarray]:
-        """(flat, offset): the product tree of the lower half 1..h,
-        h = (p-1)/2, in one int64 array.  Level k >= 1 holds the products
-        mod p of aligned runs of 2**k leaves, padded with ones, from
-        flat[offset[k]]; a level of odd length is stored with a trailing 1,
-        which pairs with its last node on the level above and ends flat.
-        Leaf x is x, so level 0 is not stored.  flat lies in _tree_store
-        unless another live context holds that, so it takes about 4p bytes
-        and, across a scan, no fresh memory per prime."""
-        global _tree_store, _tree_owner
-        h = (self.p - 1) // 2
-        size = [(h + 1) // 2]
-        while size[-1] > 1:
-            size.append((size[-1] + 1) // 2)
-        size = np.array(size)
-        offset = np.cumsum(np.append(0, size + (size & 1)))
-        if _tree_store.size < offset[-1] or (_tree_owner and _tree_owner()):
-            _tree_store = np.empty(1 << int(offset[-1] - 1).bit_length(), dtype=np.int64)
-        _tree_owner = weakref.ref(self)
-        flat = _tree_store[:offset[-1]]
-        flat[(offset[:-1] + size)[size & 1 == 1]] = 1
-        level = flat[:size[0]]
-        odd = np.arange(1, 2 * size[0], 2)
-        np.add(odd, 1, out=level)
-        level *= odd
-        del odd
-        if h & 1:
-            level[-1] = h
-        _reduce(level, self.p)
-        for k in range(1, size.size):
-            below = flat[offset[k - 1]:offset[k]]
-            up = flat[offset[k]:][:size[k]]
-            _reduce(np.multiply(below[0::2], below[1::2], out=up), self.p)
-        return flat, np.append(0, offset[:-1])[:, None]
-
-    def half_products(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """(P(x), S(y)) mod p elementwise for 1-D x and y, from one gather
-        over the tree: P(x) = x! for 0 <= x <= h and S(y) = y*(y+1)*...*h
-        for 1 <= y <= h, with h = (p-1)/2.
-
-        P multiplies, for every level k, the node that ends at leaf
-        (x >> k) << k when x >> k is odd.  S with l = y - 1 leaves skipped
-        takes node ceil(l / 2**k) when that node is odd; past the last node
-        of a level it takes the padding 1.  S(1) is h!, the root, so P(h).
-        """
-        flat, offset = self._tree
-        h = (self.p - 1) // 2
-        x = np.asarray(x, dtype=np.int64)
-        y = np.asarray(y, dtype=np.int64)
-        # rows of x, and of -l for S: floor(-l / 2**k) = -ceil(l / 2**k)
-        a = np.concatenate((x, np.where(y > 1, 1 - y, h))) >> np.arange(offset.size)[:, None]
-        node = np.abs(a - (a > 0))
-        out = flat[np.where(a & 1, node + offset, -1)]
-        out[0] = np.where(a[0] & 1, node[0] + 1, 1)
-        w = out.shape[0]
-        while w > 1:
-            # fold the last half of the rows onto the first
-            half = w // 2
-            out[:half] *= out[w - half:w]
-            out[:half] %= self.p
-            w -= half
-        return out[0, :x.size], out[0, x.size:]
-
     def legendre(self, a: int) -> int:
         """Legendre symbol (a|p) by Euler's criterion."""
         t = pow(a, (self.p - 1) // 2, self.p)
@@ -170,12 +110,11 @@ class PrimeContext:
 
 _slot: PrimeContext | None = None
 # the quotients of _reduce, one chunk at a time, and the tree storage, kept
-# and grown to powers of two: memory made afresh per prime faults in all its
-# pages anew.  The storage is lent to one context at a time; while that
-# context lives, the next gets new memory.
+# and grown to powers of two: memory made afresh per query faults in all its
+# pages anew.  A tree lives only within the half_products call that builds
+# it, so one storage serves every query.
 _quotient = np.empty(1 << 16, dtype=np.int64)
 _tree_store = np.empty(0, dtype=np.int64)
-_tree_owner: weakref.ref | None = None
 
 
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
@@ -188,6 +127,99 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
         quotient *= p
         part -= quotient
     return a
+
+
+def _half_tree(primes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(flat, offset, width): the product trees of the lower halves 1..h,
+    h = (p-1)/2, of a batch of primes, one row per prime, in _tree_store.
+
+    Level k >= 1 is a (rows, width[k]) array from flat[offset[k]]; row r
+    holds the products mod p_r of aligned runs of 2**k leaves of the widest
+    row's tree, leaves past the row's own h being 1.  A level of odd length
+    is stored with a trailing column of ones, which pairs with its last
+    node on the level above; the top level is one node and its 1, so flat
+    ends with a 1.  Leaf x is x, so level 0 is not stored: offset[0] and
+    width[0] are 0.  Both are columns, for the gather of half_products.  A
+    one-row batch reduces by _reduce, scalar p; a batch of several by one
+    remainder per level against the column of its primes."""
+    global _tree_store
+    rows = len(primes)
+    size = [(max(primes) + 1) // 4]  # ceil(h / 2) for the widest row
+    while size[-1] > 1:
+        size.append((size[-1] + 1) // 2)
+    width = [0] + [n + (n & 1) for n in size]
+    offset = [0]
+    for w in width[1:]:
+        offset.append(offset[-1] + rows * w)
+    if _tree_store.size < offset[-1]:
+        _tree_store = np.empty(1 << (offset[-1] - 1).bit_length(), dtype=np.int64)
+    flat = _tree_store[:offset[-1]]
+    levels = [flat[a:b].reshape(rows, -1) for a, b in zip(offset, offset[1:])]
+    if rows == 1:
+        p = primes[0]
+
+        def reduce(level):
+            _reduce(level[0], p)
+    else:
+        column = np.array(primes)[:, None]
+
+        def reduce(level):
+            np.remainder(level, column, out=level)
+
+    flat[[a + r * w + n for a, w, n in zip(offset, width[1:], size) if n & 1
+          for r in range(rows)]] = 1
+    n = size[0]
+    level = levels[0][:, :n]
+    odd = np.arange(1, 2 * n, 2)
+    np.add(odd, 1, out=level)
+    level *= odd
+    del odd
+    if rows > 1:
+        # a row of h leaves has ceil(h/2) = (p+1)//4 nodes here
+        level[np.arange(n) >= (np.array(primes)[:, None] + 1) // 4] = 1
+    # a row of odd h ends on leaf h, paired with a 1
+    odd_rows = [(r, p) for r, p in enumerate(primes) if p & 2]
+    level[[r for r, _ in odd_rows], [p // 4 for _, p in odd_rows]] = [p // 2 for _, p in odd_rows]
+    reduce(level)
+    for below, above, n in zip(levels, levels[1:], size[1:]):
+        reduce(np.multiply(below[:, 0::2], below[:, 1::2], out=above[:, :n]))
+    return flat, np.array([0] + offset[:-1])[:, None], np.array(width)[:, None]
+
+
+def half_products(primes: list[int], x_row, x, y_row, y) -> tuple[np.ndarray, np.ndarray]:
+    """(P(x), S(y)) elementwise for 1-D x and y, from one tree over the
+    batch of primes and one gather: with p = primes[x_row] (primes[y_row])
+    and h = (p-1)/2, P(x) = x! mod p for 0 <= x <= h, and
+    S(y) = y*(y+1)*...*h mod p for 1 <= y <= h.
+
+    P multiplies, for every level k, the node that ends at leaf
+    (x >> k) << k when x >> k is odd.  S with l = y - 1 leaves skipped
+    takes node ceil(l / 2**k) when that node is odd; past a row's last node
+    on a level it takes the padding 1.  S(1) is h!, the root, so P(h).
+    """
+    flat, offset, width = _half_tree(primes)
+    p = np.array(primes)
+    x = np.asarray(x, dtype=np.int64)
+    y = np.asarray(y, dtype=np.int64)
+    rows = np.concatenate((x_row, y_row), dtype=np.int64, casting="unsafe")
+    # rows of x, and of -l for S: floor(-l / 2**k) = -ceil(l / 2**k)
+    a = np.concatenate((x, np.where(y > 1, 1 - y, (p[rows[x.size:]] - 1) // 2)))
+    a = a >> np.arange(offset.size)[:, None]
+    node = np.abs(a - (a > 0))
+    node += offset
+    if len(primes) > 1:
+        node += rows * width
+    out = flat[np.where(a & 1, node, -1)]
+    out[0] = np.where(a[0] & 1, node[0] + 1, 1)
+    modulus = primes[0] if len(primes) == 1 else p[rows]
+    w = out.shape[0]
+    while w > 1:
+        # fold the last half of the rows onto the first
+        half = w // 2
+        out[:half] *= out[w - half:w]
+        out[:half] %= modulus
+        w -= half
+    return out[0, :x.size], out[0, x.size:]
 
 
 def _square_chunks(p: int):
@@ -208,3 +240,9 @@ def prime_context(p: int) -> PrimeContext:
     if _slot is None or _slot.p != p:
         _slot = PrimeContext(p)
     return _slot
+
+
+def use_context(ctx: PrimeContext) -> None:
+    """Put ctx in the slot, so that prime_context(ctx.p) returns it."""
+    global _slot
+    _slot = ctx

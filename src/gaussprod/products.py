@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime
-from .context import prime_context
+from .context import half_products, prime_context
 
 __all__ = [
     "BlockCounts",
@@ -87,55 +87,86 @@ class PartialProductTable:
         return self.prefix_factorials()[-1]
 
 
-def load_block_tables(p: int, sizes) -> list[PartialProductTable]:
-    """The table of n blocks for every n in sizes, from p's context.
+def load_block_tables(batch) -> list[list[PartialProductTable]]:
+    """For each (ctx, sizes) in batch, the table of n blocks of ctx.p for
+    every n in sizes, kept in ctx.tables.
 
-    Sizes are taken as valid; the ones the context lacks are computed
-    together, from one query of the tree of 1..h, h = (p-1)/2.  With
-    m = n // 2, the cuts c_0..c_m lie in 0..h and c_(n-k) = p-1-c_k, since
-    n does not divide k*p for 0 < k < n.  So, by Wilson (h!**2 == (-1)**(h+1)
-    mod p) and j == -(p - j):
+    Sizes are taken as valid; the tables the contexts lack are computed
+    together, from one query of the trees of 1..h, h = (p-1)/2, one row per
+    context that lacks any.  With m = n // 2, the cuts c_0..c_m lie in 0..h
+    and c_(n-k) = p-1-c_k, since n does not divide k*p for 0 < k < n.  So,
+    by Wilson (h!**2 == (-1)**(h+1) mod p) and j == -(p - j):
 
     - block k <= m is c_k! / c_(k-1)! == (-1)**(h+1) h! P(c_k) S(c_(k-1)+1);
     - block n+1-k is block k times (-1)**(c_k - c_(k-1));
     - for odd n, the central block is (-1)**(h - c_m) S(c_m + 1)**2,
 
-    with P and S the two walks of PrimeContext.half_products.
+    with P and S the two walks of context.half_products.
     """
+    batch = [(ctx, list(sizes)) for ctx, sizes in batch]
+    todo = [(ctx, [n for n in dict.fromkeys(sizes) if n not in ctx.tables])
+            for ctx, sizes in batch]
+    todo = [(ctx, missing) for ctx, missing in todo if missing]
+    if todo:
+        _fill_tables(todo)
+    return [[ctx.tables[n] for n in sizes] for ctx, sizes in batch]
+
+
+def _fill_tables(todo) -> None:
+    """Compute the missing tables of load_block_tables: one tree row per
+    context, one walk point per lower-half cut."""
+    primes = [ctx.p for ctx, _ in todo]
+    layouts = [(r, n, _cuts(p, n)[:n // 2 + 1])
+               for r, (p, (_, missing)) in enumerate(zip(primes, todo)) for n in missing]
+    hi = [c for _, _, low in layouts for c in low[1:]]
+    lo = [c for _, _, low in layouts for c in low[:-1]]
+    mid = [low[-1] for _, n, low in layouts if n & 1]
+    row = np.repeat([r for r, _, _ in layouts], [n // 2 for _, n, _ in layouts])
+    mid_row = [r for r, n, _ in layouts if n & 1]
+    f, s = half_products(primes, np.append(row, range(len(primes))),
+                         hi + [(p - 1) // 2 for p in primes],
+                         np.append(row, mid_row), [c + 1 for c in lo + mid])
+    # f[len(hi):] = h!, and (-1)**(h+1) h! is the inverse of h!
+    p = np.array(primes)
+    fact = f[len(hi):]
+    inverse = np.where(p & 2, fact, p - fact)
+    if len(primes) == 1:
+        # scalars, as in the one-row tree
+        pk = pm = primes[0]
+        inverse = inverse[0]
+    else:
+        pk, pm, inverse = p[row], p[mid_row], inverse[row]
+    lower = f[:len(hi)] * s[:len(hi)] % pk * inverse % pk
+    upper = np.where(np.subtract(hi, lo) & 1, pk - lower, lower).tolist()
+    central = s[len(hi):] ** 2 % pm
+    central = iter(np.where((pm // 2 - np.array(mid, dtype=np.int64)) & 1,
+                            pm - central, central).tolist())
+    lower, i = lower.tolist(), 0
+    for r, n, low in layouts:
+        m = len(low) - 1
+        values = lower[i:i + m] + ([next(central)] if n & 1 else [])
+        todo[r][0].tables[n] = PartialProductTable(
+            p=primes[r], n=n, values=tuple(values + upper[i:i + m][::-1]))
+        i += m
+
+
+def _table(p: int, n: int) -> PartialProductTable:
+    """The table of n blocks of p, from p's context."""
     ctx = prime_context(p)
-    missing = [n for n in dict.fromkeys(sizes) if n not in ctx.tables]
-    if missing:
-        h = (p - 1) // 2
-        cuts = [_cuts(p, n)[:n // 2 + 1] for n in missing]
-        hi = [c for low in cuts for c in low[1:]]
-        lo = [c for low in cuts for c in low[:-1]]
-        mid = [low[-1] for n, low in zip(missing, cuts) if n & 1]
-        f, s = ctx.half_products(hi + [h], [c + 1 for c in lo + mid])
-        # f[-1] = h!, and (-1)**(h+1) h! is the inverse of h!
-        lower = f[:-1] * s[:len(lo)] % p * (f[-1] if h & 1 else p - f[-1]) % p
-        upper = np.where(np.subtract(hi, lo) & 1, p - lower, lower).tolist()
-        central = iter([p - v if (h - c) & 1 else v
-                        for v, c in zip((s[len(lo):] ** 2 % p).tolist(), mid)])
-        lower, i = lower.tolist(), 0
-        for n, low in zip(missing, cuts):
-            m = len(low) - 1
-            values = lower[i:i + m] + ([next(central)] if n & 1 else [])
-            ctx.tables[n] = PartialProductTable(
-                p=p, n=n, values=tuple(values + upper[i:i + m][::-1]))
-            i += m
-    return [ctx.tables[n] for n in sizes]
+    table = ctx.tables.get(n)
+    return table if table is not None else load_block_tables([(ctx, [n])])[0][0]
 
 
 def partial_products(p: int, n: int) -> PartialProductTable:
     """Block products for equal blocks of length (p-1)/n; needs n | p - 1."""
     _check_layout(p, n, False)
-    return load_block_tables(p, [n])[0]
+    return _table(p, n)
 
 
 def generalized_partial_products(p: int, q: int) -> PartialProductTable:
     """Floor-cut block products; defined for any odd primes q < p."""
     _check_layout(p, q, True)
-    return load_block_tables(p, [q])[0]
+    return _table(p, q)
 
 
 def residue_mask(p: int) -> np.ndarray:

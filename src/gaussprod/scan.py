@@ -1,8 +1,10 @@
 """Range-scan engine: enumerate applicable (p, q) pairs, verify, aggregate.
 
 The engine is prime-major: it maps each prime p to the (theorem, q) pairs
-that apply to it, loads every block table p needs in one query on p's
-PrimeContext, then runs the verifiers.
+that apply to it, and works through runs of consecutive primes in batches.
+For a batch it creates each prime's PrimeContext, loads every block table
+of every prime in one query, then runs each prime's verifiers with its
+context in the prime_context slot.
 
 Reports are deterministic functions of the mathematical domain: verdicts are
 sorted by (p, q, theorem_id) after the parallel phase, so the worker count
@@ -20,7 +22,8 @@ import time
 from dataclasses import asdict, dataclass
 
 from .arith import is_prime, primes_matching
-from .context import P_LIMIT, prime_context
+from . import context
+from .context import P_LIMIT, use_context
 from .products import load_block_tables
 from .theorems import (REGIMES, THEOREM_IDS, _VERIFIERS, block_layout,
                        regime_q_reason, scan_domain)
@@ -37,6 +40,12 @@ __all__ = [
 ]
 
 DEFAULT_Q_MAX = 97
+# the leaves of one batch's product tree, rows times the widest row's h; a
+# prime with more is a batch alone.  In 10 s perfbench runs on a 2-vCPU VM,
+# 2**14, 2**16 and 2**18 took representation 0.14-0.17, 0.11-0.12 and
+# 0.10-0.12 s (0.20-0.22 s one prime at a time) and sweep peak RSS 38.3,
+# 39.3 and 43.8-44.7 MB (38.2 MB)
+BATCH_LEAVES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -90,19 +99,40 @@ def _resolved_q(config: ScanConfig, theorem_id: str) -> tuple[int | None, ...]:
     return tuple(primes_matching(DEFAULT_Q_MAX + 1)[1:])
 
 
+def _batches(unit: tuple[tuple[int, tuple], ...]):
+    """Runs of consecutive entries of a unit whose product tree, rows times
+    the largest h = (p-1)/2, holds at most BATCH_LEAVES leaves."""
+    batch: list = []
+    widest = 0
+    for entry in unit:
+        h = (entry[0] - 1) // 2
+        if batch and (len(batch) + 1) * max(widest, h) > BATCH_LEAVES:
+            yield batch
+            batch, widest = [], 0
+        batch.append(entry)
+        widest = max(widest, h)
+    if batch:
+        yield batch
+
+
 def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     """Verdicts for a unit of (p, ((theorem, q), ...)) entries."""
     out = []
-    for p, work in unit:
-        sizes = [block_layout(tid, q) for tid, q in work]
-        load_block_tables(p, [n for n in sizes if n is not None])
-        if any(REGIMES[tid].counts for tid, _ in work):
-            # built before any verifier runs, so that h(-p) is read from the
-            # residue index instead of streamed at a prime that builds it anyway
-            prime_context(p).residue_index
-        for tid, q in work:
-            # looked up per call, so a replaced verifier takes effect at once
-            out.append(_VERIFIERS[tid](p, q))
+    for batch in _batches(unit):
+        contexts = [context.PrimeContext(p) for p, _ in batch]
+        layouts = [[block_layout(tid, q) for tid, q in work] for _, work in batch]
+        load_block_tables([(ctx, [n for n in sizes if n is not None])
+                           for ctx, sizes in zip(contexts, layouts)])
+        for ctx, (p, work) in zip(contexts, batch):
+            use_context(ctx)
+            if any(REGIMES[tid].counts for tid, _ in work):
+                # built before any verifier runs, so that h(-p) is read from
+                # the residue index instead of streamed at a prime that
+                # builds it anyway
+                ctx.residue_index
+            for tid, q in work:
+                # looked up per call, so a replaced verifier takes effect at once
+                out.append(_VERIFIERS[tid](p, q))
     return out
 
 

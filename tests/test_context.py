@@ -8,10 +8,10 @@ import pytest
 
 import gaussprod.context as context
 import gaussprod.products as products
-from gaussprod.context import PrimeContext, prime_context
+from gaussprod.context import PrimeContext, half_products, prime_context
 from gaussprod.products import block_counts, load_block_tables, residue_mask
 from gaussprod.scan import ScanConfig, run_scan
-from gaussprod.theorems import THEOREM_IDS
+from gaussprod.theorems import _VERIFIERS, THEOREM_IDS
 
 from oracles import (naive_block_counts, naive_is_prime, naive_legendre,
                      naive_partial_products)
@@ -24,24 +24,38 @@ def empty_slot(monkeypatch):
     monkeypatch.setattr(context, "_slot", None)
 
 
-def test_block_tables_match_naive_products(empty_slot):
-    # floor-cut blocks at every odd prime q < p and equal blocks at every
-    # n | p - 1 among the odd primes q and the even n = 2, (p-1)/2 and p - 1,
-    # all from one batched query per p, as in a scan; the two families
-    # share the table of each n
+def layouts_below(p):
+    """Floor-cut blocks at every odd prime q < p, then equal blocks at every
+    n | p - 1 among the odd primes q and the even n = 2, (p-1)/2 and p - 1;
+    the two families share the table of each n."""
+    qs = [q for q in ODD_PRIMES_600 if q < p]
+    equal = [q for q in qs if p % q == 1]
+    return qs, equal + [n for n in (2, (p - 1) // 2, p - 1) if n > 1]
+
+
+def test_block_tables_match_naive_products(monkeypatch, empty_slot):
+    # every layout of one p from one query, as a one-row batch; then every
+    # odd prime p < 600 as one batch, rows from h = 1 (p = 3) to h = 299,
+    # odd and even h, the short rows padded with ones
+    trees = []
+    build = context._half_tree
+    monkeypatch.setattr(context, "_half_tree", lambda primes: trees.append(primes) or build(primes))
+    want = {}
     for p in ODD_PRIMES_600:
-        qs = [q for q in ODD_PRIMES_600 if q < p]
-        equal = [q for q in qs if p % q == 1]
-        equal += [n for n in (2, (p - 1) // 2, p - 1) if n > 1]
-        tables = load_block_tables(p, qs + equal)
-        for q, table in zip(qs, tables):
-            want = naive_partial_products(p, q, generalized=True)
-            assert list(table.values) == want, (p, q)
-        for n, table in zip(equal, tables[len(qs):]):
-            assert list(table.values) == naive_partial_products(p, n), (p, n)
+        qs, equal = layouts_below(p)
+        want[p] = [naive_partial_products(p, q, generalized=True) for q in qs]
+        want[p] += [naive_partial_products(p, n) for n in equal]
+        [tables] = load_block_tables([(prime_context(p), qs + equal)])
+        assert [list(t.values) for t in tables] == want[p], p
         tables_by_n = prime_context(p).tables
         assert sorted(tables_by_n) == sorted(set(qs + equal)), p
         assert all(tables_by_n[n] is t for n, t in zip(qs + equal, tables)), p
+    assert trees == [[p] for p in ODD_PRIMES_600]
+    trees.clear()
+    batch = [(PrimeContext(p), sum(layouts_below(p), [])) for p in ODD_PRIMES_600]
+    for (ctx, _), tables in zip(batch, load_block_tables(batch)):
+        assert [list(t.values) for t in tables] == want[ctx.p], ctx.p
+    assert trees == [ODD_PRIMES_600]
 
 
 def test_residue_counts_match_naive():
@@ -79,21 +93,36 @@ def running_products(p):
 
 
 def test_half_factorial_matches_math_factorial():
-    for p in ODD_PRIMES_600:
-        half = (p - 1) // 2
-        f, s = PrimeContext(p).half_products([half], [1])
-        assert int(f[0]) == int(s[0]) == math.factorial(half) % p, p
+    halves = [(p - 1) // 2 for p in ODD_PRIMES_600]
+    want = [math.factorial(h) % p for p, h in zip(ODD_PRIMES_600, halves)]
+    for p, h, w in zip(ODD_PRIMES_600, halves, want):
+        f, s = half_products([p], [0], [h], [0], [1])
+        assert int(f[0]) == int(s[0]) == w, p
+    rows = range(len(ODD_PRIMES_600))
+    f, s = half_products(ODD_PRIMES_600, rows, halves, rows, [1] * len(halves))
+    assert f.tolist() == s.tolist() == want
 
 
 def test_walks_match_running_products():
-    # every x and y at every odd prime p < 600: p = 3, 5 and 7 have 1 to 3
-    # leaves, and h = (p-1)/2 is odd at every p = 3 (mod 4)
-    for p in ODD_PRIMES_600:
+    # every x and y at every odd prime p < 600, one row at a time and all
+    # rows in one batch: p = 3, 5 and 7 have 1 to 3 leaves, h = (p-1)/2 is
+    # odd at every p = 3 (mod 4), and every row but the last is padded
+    xs, ys, x_rows, y_rows, prefixes, suffixes = [], [], [], [], [], []
+    for r, p in enumerate(ODD_PRIMES_600):
         h = (p - 1) // 2
         prefix, suffix = running_products(p)
-        f, s = PrimeContext(p).half_products(np.arange(h + 1), np.arange(1, h + 1))
+        f, s = half_products([p], [0] * (h + 1), range(h + 1), [0] * h, range(1, h + 1))
         assert f.tolist() == prefix, p
         assert s.tolist() == suffix, p
+        xs += range(h + 1)
+        ys += range(1, h + 1)
+        x_rows += [r] * (h + 1)
+        y_rows += [r] * h
+        prefixes += prefix
+        suffixes += suffix
+    f, s = half_products(ODD_PRIMES_600, x_rows, xs, y_rows, ys)
+    assert f.tolist() == prefixes
+    assert s.tolist() == suffixes
 
 
 MID_P = 999983
@@ -151,63 +180,66 @@ def test_kernels_at_a_mid_size_prime(empty_slot):
     rng = np.random.default_rng(9)
     xs = [0, 1, 2, h - 1, h] + rng.integers(0, h + 1, 45).tolist()
     ys = [1, 2, 3, h - 1, h] + rng.integers(1, h + 1, 45).tolist()
-    f, s = ctx.half_products(xs, ys)
+    f, s = half_products([p], [0] * len(xs), xs, [0] * len(ys), ys)
     assert f.tolist() == [running[x] for x in xs]
     assert s.tolist() == [running[h] * pow(running[y - 1], -1, p) % p for y in ys]
+    # a two-row batch, the small prime's row padded far past its h = 8
+    small = 17
+    f, s = half_products([small, p], [1] * len(xs) + [0] * 9, xs + list(range(9)),
+                         [1] * len(ys) + [0] * 8, ys + list(range(1, 9)))
+    prefix, suffix = running_products(small)
+    assert f.tolist() == [running[x] for x in xs] + prefix
+    assert s.tolist() == [running[h] * pow(running[y - 1], -1, p) % p for y in ys] + suffix
     # blocks from both walks and their mirrors, against the running product:
     # n = 2, odd floor-cut n and the equal blocks of 999982 = 2 * 499991
     for n in (2, 3, 97, 499991):
         cuts = [k * p // n for k in range(n)] + [p - 1]
         want = [running[c] * pow(running[b], -1, p) % p
                 for b, c in zip(cuts, cuts[1:])]
-        assert list(load_block_tables(p, [n])[0].values) == want, n
+        assert list(load_block_tables([(ctx, [n])])[0][0].values) == want, n
 
 
 def test_tree_stores_no_leaves():
     # h = (p-1)/2 leaves have h - 1 inner nodes; a level of odd length is
     # stored with a trailing 1, and its last node is carried up unpaired
     h = (MID_P - 1) // 2
-    flat, offset = PrimeContext(MID_P)._tree
+    flat, offset, width = context._half_tree([MID_P])
     levels = offset.size - 1
     first = (h + 1) // 2  # the length of level 1, then its padding
-    assert offset[2, 0] == first + first % 2
+    assert offset[:3, 0].tolist() == [0, 0, first + first % 2]
+    assert width[1, 0] == first + first % 2
     assert flat[-1] == 1
     assert flat.nbytes <= 8 * (h + levels)
+    # a batch stores rows times each level of the widest row's tree
+    flat, offset, width = context._half_tree([7, 97, MID_P])
+    assert flat.size == 3 * width.sum()
+    assert offset[1:, 0].tolist() == (3 * np.cumsum(width[:-1, 0])).tolist()
+    assert flat[-1] == 1
 
 
 def test_tree_storage_is_kept_and_never_shared(monkeypatch, empty_slot):
-    # two primes alternate in the slot, the larger one's tree outgrowing the
-    # storage that the smaller one's tree leaves behind
+    # the storage grows to a power of two and is then reused by every batch
+    # and every one-row query that fits, and no context keeps a view of it:
+    # a tree lives only within the query that builds it
     monkeypatch.setattr(context, "_tree_store", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(context, "_tree_owner", None)
     ns = (3, 7, 11)
-
-    def check(ctx):
-        h = (ctx.p - 1) // 2
-        prefix, suffix = running_products(ctx.p)
-        f, s = ctx.half_products(np.arange(h + 1), np.arange(1, h + 1))
-        assert (f.tolist(), s.tolist()) == (prefix, suffix), ctx.p
-
     stores = []
-    for p in (1999, 4999, 1999, 4999):
-        # nothing holds the replaced context, so its storage is lent again
-        ctx = prime_context(p)
-        tables = load_block_tables(p, ns)
-        for n, table in zip(ns, tables):
-            assert list(table.values) == naive_partial_products(p, n, True)
-        assert np.shares_memory(ctx._tree[0], context._tree_store), p
+    for primes in ([1999], [4999], [1999], [1999, 2003, 2011], [4999]):
+        batch = [(PrimeContext(p), ns) for p in primes]
+        for (ctx, _), tables in zip(batch, load_block_tables(batch)):
+            for n, table in zip(ns, tables):
+                assert list(table.values) == naive_partial_products(ctx.p, n, True)
+            for value in vars(ctx).values():
+                assert not (isinstance(value, np.ndarray)
+                            and np.shares_memory(value, context._tree_store)), ctx.p
         stores.append(context._tree_store)
     assert stores[0].size < stores[1].size
-    assert stores[1] is stores[2] is stores[3]
-    # while a context lives, the next context's tree gets new memory
-    held = [prime_context(p) for p in (1999, 4999, 1999)]
-    for ctx in held:
-        check(ctx)
-    for ctx in held:  # and once more, after every tree is built
-        check(ctx)
-    for i, a in enumerate(held):
-        for b in held[i + 1:]:
-            assert not np.shares_memory(a._tree[0], b._tree[0])
+    assert all(s is stores[1] for s in stores[2:])
+    assert stores[1].size & (stores[1].size - 1) == 0
+    # an answer does not change when a later query overwrites the storage
+    f, _ = half_products([1999], [0], [999], [0], [1])
+    half_products([4999], [0], [2499], [0], [1])
+    assert int(f[0]) == math.factorial(999) % 1999
 
 
 def test_legendre_matches_naive():
@@ -294,3 +326,37 @@ def test_scan_never_streams_where_it_builds_the_squares(monkeypatch, empty_slot)
     assert all(v.passed for v in report.verdicts)
     assert streamed and built
     assert not streamed & built, sorted(streamed & built)
+
+
+def test_scan_builds_tables_in_batches(monkeypatch, empty_slot):
+    # all nine theorems at p < 2e4: fewer trees than primes, each prime a
+    # row of at most one tree, and no tree built inside a verifier
+    trees, inside = [], []
+    build = context._half_tree
+
+    def counting(primes):
+        assert not inside, f"tree built inside {inside[0]}"
+        trees.append(list(primes))
+        return build(primes)
+
+    def outside(tid):
+        verify = _VERIFIERS[tid]
+
+        def wrapped(p, q):
+            inside.append((tid, p, q))
+            try:
+                return verify(p, q)
+            finally:
+                inside.pop()
+        return wrapped
+
+    monkeypatch.setattr(context, "_half_tree", counting)
+    for tid in THEOREM_IDS:
+        monkeypatch.setitem(_VERIFIERS, tid, outside(tid))
+    report = run_scan(ScanConfig(p_max=20000, theorems=THEOREM_IDS, workers=1))
+    assert all(v.passed for v in report.verdicts)
+    primes = {v.p for v in report.verdicts}
+    rows = [p for tree in trees for p in tree]
+    assert len(trees) < len(primes)
+    assert len(rows) == len(set(rows))
+    assert set(rows) <= primes
