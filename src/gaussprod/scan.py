@@ -119,6 +119,7 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     """Verdicts for a unit of (p, ((theorem, q), ...)) entries."""
     out = []
     for batch in _batches(unit):
+        # looked up on the module, as prime_context does, so a replaced class takes effect
         contexts = [context.PrimeContext(p) for p, _ in batch]
         layouts = [[block_layout(tid, q) for tid, q in work] for _, work in batch]
         load_block_tables([(ctx, [n for n in sizes if n is not None])
