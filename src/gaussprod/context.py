@@ -1,9 +1,9 @@
 """Per-prime state: one PrimeContext holds everything derived from a prime p.
 
 The context validates p once and builds its residue index, which counts
-the residues in 1..x, on first use.  The block tables, h(-p) and the
-norm-form representations are kept here too, filled in by the products
-and classnum modules that compute them.
+the residues in 1..x, on first use.  The block tables, block counts, h(-p)
+and the norm-form representations are kept here too, filled in by the
+products and classnum modules that compute them.
 
 Block products come from a product tree of the lower half 1..(p-1)/2
 (Bernstein, "Fast multiplication and its applications", 2008), built for a
@@ -15,12 +15,17 @@ lives in one kept array, rebuilt by every query.
 
 The residue index is a bitmap of the nonzero squares mod p, 64 to a word,
 with a rank directory of the set bits before each word: p/4 bytes kept, a
-count in two gathers and a popcount.  _square_chunks yields j*j mod p for
-j = 1..(p-1)/2, each residue once, in chunks of 2**16; the index marks
-them, and the floor sum of Lemma 1 (classnum) streams them in O(2**16)
-memory at every p < 2**31, as square_floor_sum streams the quotients
-floor(j*j/p) for Dirichlet's h(-p).  Every O(p) kernel reduces mod p by
-_reduce, which avoids hardware division.
+count in two gathers and a popcount.  Like the tree it is built for a
+batch of primes at once (load_residue_indexes), one row per prime, and
+each context keeps its row; products reads every block count of a batch
+from one gather over the rows and keeps them in ctx.counts.  A one-row
+build, every single query's, streams: _square_chunks yields j*j mod p for
+j = 1..(p-1)/2, each residue once, in chunks of 2**16, and the build marks
+them in a p-byte array.  The floor sum of Lemma 1 (classnum) streams the
+same chunks in O(2**16) memory at every p < 2**31, as square_floor_sum
+streams the quotients floor(j*j/p) for Dirichlet's h(-p).  Every O(p)
+kernel but a batch's reduces mod p by _reduce, which avoids hardware
+division.
 
 prime_context(p) keeps the latest context in a single slot.  A scan puts
 each prime's context there (use_context) before its verifiers run, so every
@@ -35,7 +40,8 @@ import numpy as np
 
 from .arith import is_prime
 
-__all__ = ["P_LIMIT", "PrimeContext", "half_products", "prime_context", "use_context"]
+__all__ = ["P_LIMIT", "PrimeContext", "half_products", "load_residue_indexes", "prime_context",
+           "use_context"]
 
 # int64 stays exact for products of two residues and for j*j below this bound
 P_LIMIT = 1 << 31
@@ -43,8 +49,8 @@ P_LIMIT = 1 << 31
 
 class PrimeContext:
     """Per-prime state for an odd prime p < 2**31: the residue index, built
-    on first use, and the block tables, h(-p) and representations kept for
-    p."""
+    on first use, and the block tables, block counts, h(-p) and
+    representations kept for p."""
 
     def __init__(self, p: int) -> None:
         if p >= P_LIMIT:
@@ -55,6 +61,8 @@ class PrimeContext:
         # n -> PartialProductTable of the n blocks cut at floor(k*p/n),
         # for equal and floor-cut blocks alike; filled by products
         self.tables: dict = {}
+        # n -> BlockCounts of the same n blocks, filled by products
+        self.counts: dict = {}
         # h(-p) by Dirichlet's sum, a ClassNumberResult filled by classnum
         self.class_number = None
         # q -> Representation of 4*p**h(-q), filled by classnum
@@ -64,18 +72,10 @@ class PrimeContext:
     def residue_index(self) -> tuple[np.ndarray, np.ndarray]:
         """(words, rank): bit x of the little-endian uint64 words is set
         exactly when x is a nonzero square mod p, and rank[w] is the number
-        of set bits in words[:w].  p/4 bytes; the build marks a p-byte bool
-        array, padded to whole words, and packs it."""
-        p = self.p
-        marks = np.zeros(-(-p // 64) * 64, dtype=bool)
-        for chunk in _square_chunks(p):
-            marks[chunk] = True
-        words = np.packbits(marks, bitorder="little").view("<u8")
-        del marks
-        rank = np.zeros(words.size, dtype=np.int64)
-        np.cumsum(np.bitwise_count(words[:-1]), out=rank[1:])
-        words.flags.writeable = rank.flags.writeable = False
-        return words, rank
+        of set bits in words[:w].  p/4 bytes, from a one-row build (see
+        _residue_indexes); load_residue_indexes builds a batch's at once."""
+        words, rank = _residue_indexes([self.p])
+        return words[0], rank[0]
 
     @property
     def has_residue_index(self) -> bool:
@@ -232,6 +232,52 @@ def _square_chunks(p: int):
         chunk = np.arange(start, min(start + _quotient.size, half + 1), dtype=np.int64)
         chunk *= chunk
         yield _reduce(chunk, p)
+
+
+def _residue_indexes(primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(words, rank) of the residue indexes of a batch of primes, one row
+    per prime, each row as PrimeContext.residue_index, padded with zero
+    words to the widest prime.
+
+    A one-row batch marks _square_chunks in a p-byte array padded to whole
+    words: a build peak near 1.25p bytes.  A batch of several takes j*j mod
+    the column of its primes for j up to the widest h = (p-1)/2, a
+    (rows, h) int64 array: past a row's own h, j*j gives the row's squares
+    again, or 0 where its p divides j, so column 0 is cleared after the
+    scatter.  Then one packbits and one row-wise cumsum of popcounts."""
+    widest = max(primes)
+    columns = -(-widest // 64) * 64
+    if len(primes) == 1:
+        marks = np.zeros(columns, dtype=bool)
+        for chunk in _square_chunks(widest):
+            marks[chunk] = True
+    else:
+        j = np.arange(1, (widest - 1) // 2 + 1, dtype=np.int64)
+        j *= j
+        squares = np.remainder(j, np.array(primes)[:, None])
+        del j
+        squares += np.arange(0, len(primes) * columns, columns)[:, None]
+        marks = np.zeros(len(primes) * columns, dtype=bool)
+        marks[squares] = True
+        del squares
+        marks[::columns] = False
+    words = np.packbits(marks.reshape(len(primes), columns), axis=1,
+                        bitorder="little").view("<u8")
+    del marks
+    rank = np.zeros(words.shape, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words[:, :-1]), axis=1, out=rank[:, 1:])
+    words.flags.writeable = rank.flags.writeable = False
+    return words, rank
+
+
+def load_residue_indexes(contexts) -> tuple[np.ndarray, np.ndarray]:
+    """Build the residue indexes of a batch of contexts in one pass, hand
+    each context its row, and return the batch's (words, rank)."""
+    words, rank = _residue_indexes([ctx.p for ctx in contexts])
+    for ctx, row_words, row_rank in zip(contexts, words, rank):
+        # the cached_property's slot, so residue_index returns the row
+        vars(ctx)["residue_index"] = row_words, row_rank
+    return words, rank
 
 
 def prime_context(p: int) -> PrimeContext:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import is_prime
-from .context import half_products, prime_context
+from .context import half_products, load_residue_indexes, prime_context
 
 __all__ = [
     "BlockCounts",
@@ -27,6 +27,7 @@ __all__ = [
     "block_ranges",
     "enlarged_block_index",
     "generalized_partial_products",
+    "load_block_counts",
     "load_block_tables",
     "partial_products",
     "residue_cumulative_counts",
@@ -195,15 +196,61 @@ class BlockCounts:
         return self.residues[k - 1] + self.nonresidues[k - 1]
 
 
+def load_block_counts(batch) -> list[list[BlockCounts]]:
+    """For each (ctx, sizes) in batch, the residue counts of the n blocks of
+    ctx.p for every n in sizes, kept in ctx.counts.
+
+    Sizes are taken as valid.  The contexts that lack an index and some
+    counts get their indexes from one batched build, and their counts from
+    one gather over it; a context that has its index already is a one-row
+    batch of its own.
+    """
+    batch = [(ctx, list(sizes)) for ctx, sizes in batch]
+    todo = [(ctx, [n for n in dict.fromkeys(sizes) if n not in ctx.counts])
+            for ctx, sizes in batch]
+    todo = [(ctx, missing) for ctx, missing in todo if missing]
+    for ctx, missing in todo:
+        if ctx.has_residue_index:
+            _fill_counts([(ctx, missing)], *(a[None] for a in ctx.residue_index))
+    fresh = [(ctx, missing) for ctx, missing in todo if not ctx.has_residue_index]
+    if fresh:
+        _fill_counts(fresh, *load_residue_indexes([ctx for ctx, _ in fresh]))
+    return [[ctx.counts[n] for n in sizes] for ctx, sizes in batch]
+
+
+def _fill_counts(todo, words: np.ndarray, rank: np.ndarray) -> None:
+    """Fill the missing counts of load_block_counts from the (words, rank)
+    of the todo contexts' indexes, one row each: the cuts of every layout
+    in numpy, the residues in 1..x at every cut x in one gather, as
+    residue_counts takes them, then each block's residues and nonresidues
+    from differences of cuts."""
+    layouts = [(r, ctx, n) for r, (ctx, missing) in enumerate(todo) for n in missing]
+    row, p, n = np.array([(r, ctx.p, n) for r, ctx, n in layouts]).T
+    length = n + 1
+    row, p, n = (np.repeat(column, length) for column in (row, p, n))
+    # k runs over 0..n in each layout, and c_n = p - 1, not k*p/n = p
+    k = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
+    x = k * p // n - (k == n)
+    w = row * words.shape[1] + (x >> 6)
+    counts = rank.ravel()[w] + np.bitwise_count(
+        words.ravel()[w] << (63 - (x & 63)).astype(np.uint64))
+    # differences by slicing, which costs less than np.diff; the entry
+    # that spans two layouts is skipped below
+    residues = counts[1:] - counts[:-1]
+    nonresidues = (x[1:] - x[:-1] - residues).tolist()
+    residues, i = residues.tolist(), 0
+    for _, ctx, n in layouts:
+        ctx.counts[n] = BlockCounts(p=ctx.p, q=n, residues=tuple(residues[i:i + n]),
+                                    nonresidues=tuple(nonresidues[i:i + n]))
+        i += n + 1
+
+
 def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:
     """Count residues/nonresidues inside each block of 1..p-1."""
     _check_layout(p, q, generalized)
-    cuts = np.array(_cuts(p, q))
-    counts = prime_context(p).residue_counts(cuts)
-    # differences by slicing, which costs less than np.diff on q + 1 entries
-    res = counts[1:] - counts[:-1]
-    return BlockCounts(p=p, q=q, residues=tuple(res.tolist()),
-                       nonresidues=tuple((cuts[1:] - cuts[:-1] - res).tolist()))
+    ctx = prime_context(p)
+    counts = ctx.counts.get(q)
+    return counts if counts is not None else load_block_counts([(ctx, [q])])[0][0]
 
 
 def selected_block_indices(q: int) -> tuple[int, ...]:

@@ -3,8 +3,8 @@
 The engine is prime-major: it maps each prime p to the (theorem, q) pairs
 that apply to it, and works through runs of consecutive primes in batches.
 For a batch it creates each prime's PrimeContext, loads every block table
-of every prime in one query, then runs each prime's verifiers with its
-context in the prime_context slot.
+of every prime in one query and every block count in another, then runs
+each prime's verifiers with its context in the prime_context slot.
 
 Reports are deterministic functions of the mathematical domain: verdicts are
 sorted by (p, q, theorem_id) after the parallel phase, so the worker count
@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from .arith import is_prime, primes_matching
 from . import context
 from .context import P_LIMIT, use_context
-from .products import load_block_tables
+from .products import load_block_counts, load_block_tables
 from .theorems import (REGIMES, THEOREM_IDS, _VERIFIERS, block_layout,
                        regime_q_reason, scan_domain)
 from .verdict import Verdict
@@ -124,13 +124,12 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
         layouts = [[block_layout(tid, q) for tid, q in work] for _, work in batch]
         load_block_tables([(ctx, [n for n in sizes if n is not None])
                            for ctx, sizes in zip(contexts, layouts)])
+        # before any verifier runs, so that h(-p) is read from the residue
+        # index instead of streamed at a prime that builds it anyway
+        load_block_counts([(ctx, [q for tid, q in work if REGIMES[tid].counts])
+                           for ctx, (_, work) in zip(contexts, batch)])
         for ctx, (p, work) in zip(contexts, batch):
             use_context(ctx)
-            if any(REGIMES[tid].counts for tid, _ in work):
-                # built before any verifier runs, so that h(-p) is read from
-                # the residue index instead of streamed at a prime that
-                # builds it anyway
-                ctx.residue_index
             for tid, q in work:
                 # looked up per call, so a replaced verifier takes effect at once
                 out.append(_VERIFIERS[tid](p, q))

@@ -10,7 +10,6 @@ each claim's hypotheses once, for the verifiers and for the scan alike.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import CongruenceConstraint, is_prime
 from .classnum import (class_number_dirichlet, hahn_lee_representation,
@@ -263,9 +262,10 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     rhs = sum(counts.nonresidues[k - 1] * ((q + 1) // 2 - k)
               for k in range(1, half + 1))
     jq3 = (0, 1, -1)[q % 3]     # (q|3)
-    lhs = (Fraction(q * q - 1, 8) * Fraction(p - 3, 2 * q)
-           + Fraction(q - jq3, 12) - Fraction((q - ctx.legendre(q)) * h, 4))
-    identity_ok = 1 if lhs == rhs else 0
+    # rhs == (q*q-1)/8 * (p-3)/(2q) + (q-(q|3))/12 - (q-(q|p))*h/4, times 48q
+    lhs = (3 * (q * q - 1) * (p - 3) + 4 * q * (q - jq3)
+           - 12 * q * (q - ctx.legendre(q)) * h)
+    identity_ok = 1 if 48 * q * rhs == lhs else 0
     reduced = (q - jq3) * (1 - 3 * h)
     parity_ok = 1 if reduced % 12 == 0 and (rhs - reduced // 12) % 2 == 0 else 0
     return make_verdict("t4", p, q, (predicted_sym, 1, 1, 1),
@@ -288,10 +288,9 @@ def verify_eq2_parity(p: int, q: int) -> Verdict:
                      for k, w in enumerate(weights, start=1))
     parity = sum(counts.nonresidues[k - 1]
                  for k, w in enumerate(weights, start=1) if w % 2) % 2
-    lhs_diff = Fraction((q - s) * h, 2)
-    lhs_nonres = (Fraction(q * q - 1, 8) * Fraction(p - 1, 2 * q)
-                  - Fraction((q - s) * h, 4))
-    predicted = (_exact(lhs_diff), _exact(lhs_nonres), 0)
+    # (q-s)*h/2, and (q*q-1)/8 * (p-1)/(2q) - (q-s)*h/4 over 16q
+    predicted = (_exact((q - s) * h, 2),
+                 _exact((q * q - 1) * (p - 1) - 4 * q * (q - s) * h, 16 * q), 0)
     computed = (rhs_diff, rhs_nonres, parity)
     return make_verdict("eq2_parity", p, q, predicted, computed,
                         detail=f"h(-p)={h} (q|p)={s:+d}")

@@ -30,7 +30,10 @@ def make_verdict(theorem_id: str, p: int, q: int | None,
                    computed=computed, passed=predicted == computed, detail=detail)
 
 
-def _exact(fr: Fraction) -> int | str:
-    """Integer when exact, else the fraction's text; strings never equal ints,
-    so a non-integer side shows up as a plain mismatch."""
-    return int(fr) if fr.denominator == 1 else str(fr)
+def _exact(num, den: int = 1) -> int | str:
+    """num/den (num an int or a Fraction) as an integer when exact, else the
+    reduced fraction's text; strings never equal ints, so a non-integer side
+    shows up as a plain mismatch."""
+    if num % den == 0:
+        return num // den
+    return str(Fraction(num, den))

@@ -1,6 +1,5 @@
 import math
 from collections import Counter
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -9,9 +8,10 @@ import pytest
 import gaussprod.context as context
 import gaussprod.products as products
 from gaussprod.context import PrimeContext, half_products, prime_context
-from gaussprod.products import block_counts, load_block_tables, residue_mask
+from gaussprod.products import (block_counts, load_block_counts, load_block_tables,
+                                residue_mask)
 from gaussprod.scan import ScanConfig, run_scan
-from gaussprod.theorems import _VERIFIERS, THEOREM_IDS
+from gaussprod.theorems import _VERIFIERS, REGIMES, THEOREM_IDS
 
 from oracles import (naive_block_counts, naive_is_prime, naive_legendre,
                      naive_partial_products)
@@ -77,6 +77,34 @@ def test_block_counts_match_naive(empty_slot):
                 want = naive_block_counts(p, q, generalized)
                 assert (list(c.residues), list(c.nonresidues)) == want, (
                     p, q, generalized)
+
+
+def test_block_counts_of_a_batch_match_naive(monkeypatch, empty_slot):
+    # every odd prime p < 600 as one batch: rows from h = 1 (p = 3) to 299,
+    # and j up to 299 reaches multiples of the small p.  Each row is the
+    # one-row build padded with zero words, and every floor-cut and equal
+    # layout matches the naive counts
+    builds = []
+    build = context._residue_indexes
+    monkeypatch.setattr(context, "_residue_indexes",
+                        lambda primes: builds.append(primes) or build(primes))
+    batch = [(PrimeContext(p), layouts_below(p)) for p in ODD_PRIMES_600]
+    counts = load_block_counts([(ctx, qs + equal) for ctx, (qs, equal) in batch])
+    assert builds == [ODD_PRIMES_600]
+    for (ctx, (qs, equal)), got in zip(batch, counts):
+        p = ctx.p
+        words, rank = ctx.residue_index
+        one_words, one_rank = PrimeContext(p).residue_index
+        assert builds[-1] == [p]
+        used = one_words.size
+        assert np.array_equal(words[:used], one_words), p
+        assert not words[used:].any(), p
+        assert np.array_equal(rank[:used], one_rank), p
+        assert (rank[used:] == (p - 1) // 2).all(), p
+        want = [naive_block_counts(p, q, generalized=True) for q in qs]
+        want += [naive_block_counts(p, n) for n in equal]
+        assert [(list(c.residues), list(c.nonresidues)) for c in got] == want, p
+        assert all(ctx.counts[n] is c for n, c in zip(qs + equal, got)), p
 
 
 def running_products(p):
@@ -190,6 +218,12 @@ def test_kernels_at_a_mid_size_prime(empty_slot):
     prefix, suffix = running_products(small)
     assert f.tolist() == [running[x] for x in xs] + prefix
     assert s.tolist() == [running[h] * pow(running[y - 1], -1, p) % p for y in ys] + suffix
+    # and a two-row residue index, the small prime's row padded far past 17
+    pair = [(PrimeContext(p), [3]), (PrimeContext(small), [3])]
+    load_block_counts(pair)
+    assert np.array_equal(pair[0][0].residue_counts(np.arange(p)), counts)
+    assert np.array_equal(pair[1][0].residue_counts(np.arange(small)),
+                          residue_counts_by_mask(small))
     # blocks from both walks and their mirrors, against the running product:
     # n = 2, odd floor-cut n and the equal blocks of 999982 = 2 * 499991
     for n in (2, 3, 97, 499991):
@@ -310,34 +344,29 @@ def test_scan_never_streams_where_it_builds_the_squares(monkeypatch, empty_slot)
     # eq2_parity reads them, the scan builds the residue index first and
     # Dirichlet reads it, whatever the order of the verifiers
     streamed, built = set(), set()
+    build = context._residue_indexes
 
     class Recording(PrimeContext):
         def square_floor_sum(self):
             streamed.add(self.p)
             return super().square_floor_sum()
 
-        @cached_property
-        def residue_index(self):
-            built.add(self.p)
-            return super().residue_index
+    def recording(primes):
+        built.update(primes)
+        return build(primes)
 
     monkeypatch.setattr(context, "PrimeContext", Recording)
+    monkeypatch.setattr(context, "_residue_indexes", recording)
     report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1))
     assert all(v.passed for v in report.verdicts)
     assert streamed and built
     assert not streamed & built, sorted(streamed & built)
 
 
-def test_scan_builds_tables_in_batches(monkeypatch, empty_slot):
-    # all nine theorems at p < 2e4: fewer trees than primes, each prime a
-    # row of at most one tree, and no tree built inside a verifier
-    trees, inside = [], []
-    build = context._half_tree
-
-    def counting(primes):
-        assert not inside, f"tree built inside {inside[0]}"
-        trees.append(list(primes))
-        return build(primes)
+def record_verifier_calls(monkeypatch) -> list:
+    """Wrap every verifier so that the returned list holds (theorem, p, q)
+    while that verifier runs, and is empty between verifiers."""
+    inside = []
 
     def outside(tid):
         verify = _VERIFIERS[tid]
@@ -350,9 +379,24 @@ def test_scan_builds_tables_in_batches(monkeypatch, empty_slot):
                 inside.pop()
         return wrapped
 
-    monkeypatch.setattr(context, "_half_tree", counting)
     for tid in THEOREM_IDS:
         monkeypatch.setitem(_VERIFIERS, tid, outside(tid))
+    return inside
+
+
+def test_scan_builds_tables_in_batches(monkeypatch, empty_slot):
+    # all nine theorems at p < 2e4: fewer trees than primes, each prime a
+    # row of at most one tree, and no tree built inside a verifier
+    trees = []
+    build = context._half_tree
+    inside = record_verifier_calls(monkeypatch)
+
+    def counting(primes):
+        assert not inside, f"tree built inside {inside[0]}"
+        trees.append(list(primes))
+        return build(primes)
+
+    monkeypatch.setattr(context, "_half_tree", counting)
     report = run_scan(ScanConfig(p_max=20000, theorems=THEOREM_IDS, workers=1))
     assert all(v.passed for v in report.verdicts)
     primes = {v.p for v in report.verdicts}
@@ -360,3 +404,30 @@ def test_scan_builds_tables_in_batches(monkeypatch, empty_slot):
     assert len(trees) < len(primes)
     assert len(rows) == len(set(rows))
     assert set(rows) <= primes
+
+
+def test_scan_builds_residue_indexes_in_batches(monkeypatch, empty_slot):
+    # all nine theorems at p < 2e4: fewer index builds than primes that read
+    # block counts, each such prime a row of exactly one build, and no index
+    # or count built inside a verifier
+    builds = []
+    build, fill = context._residue_indexes, products._fill_counts
+    inside = record_verifier_calls(monkeypatch)
+
+    def counting(primes):
+        assert not inside, f"residue index built inside {inside[0]}"
+        builds.append(list(primes))
+        return build(primes)
+
+    def filling(todo, words, rank):
+        assert not inside, f"block counts built inside {inside[0]}"
+        fill(todo, words, rank)
+
+    monkeypatch.setattr(context, "_residue_indexes", counting)
+    monkeypatch.setattr(products, "_fill_counts", filling)
+    report = run_scan(ScanConfig(p_max=20000, theorems=THEOREM_IDS, workers=1))
+    assert all(v.passed for v in report.verdicts)
+    counted = {v.p for v in report.verdicts if REGIMES[v.theorem_id].counts}
+    rows = sorted(p for primes in builds for p in primes)
+    assert len(builds) < len(counted)
+    assert rows == sorted(counted)

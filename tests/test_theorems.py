@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from gaussprod import (CongruenceConstraint, RegimeError, THEOREM_IDS,
@@ -7,6 +9,7 @@ from gaussprod import (CongruenceConstraint, RegimeError, THEOREM_IDS,
                        verify_symmetry, verify_theorem1, verify_theorem2,
                        verify_theorem3, verify_theorem4)
 from gaussprod.theorems import REGIMES, scan_domain
+from gaussprod.verdict import _exact
 
 
 def split_pairs(qs, p_max):
@@ -224,6 +227,19 @@ def test_verdict_pass_flag_is_equality():
     v = verify_theorem1(7, 3)
     assert v.passed == (v.predicted == v.computed)
     assert v.p == 7 and v.q == 3 and v.theorem_id == "t1"
+
+
+def test_exact_renders_a_ratio_as_its_fraction_would():
+    # t4 and eq2_parity state their sides over integer denominators; a side
+    # that is not an integer must read as the Fraction's text did, so that
+    # reports keep their bytes
+    for num in range(-60, 61):
+        for den in range(1, 49):
+            fr = Fraction(num, den)
+            want = int(fr) if fr.denominator == 1 else str(fr)
+            got = _exact(num, den)
+            assert got == want and type(got) is type(want), (num, den)
+            assert _exact(fr) == want, (num, den)
 
 
 def test_class_number_parity_drives_mordell_sign():
