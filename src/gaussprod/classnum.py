@@ -77,7 +77,7 @@ def class_number_dirichlet(p: int) -> ClassNumberResult:
     ctx = _discriminant_context(p)
     if ctx.class_number is None:
         half = (p - 1) // 2
-        if ctx.has_residue_index:
+        if ctx.residue_index is not None:
             char_sum = 2 * int(ctx.residue_counts(half)) - half
             denom = 2 - ctx.legendre(2)
             if char_sum % denom:

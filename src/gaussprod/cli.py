@@ -97,6 +97,9 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     elif args.q_max is not None:
         if args.q_max < 3:
             raise ValueError(f"--q-max must be >= 3, got {args.q_max}")
+        if args.q_max >= args.p_max:
+            raise ValueError(f"--q-max must be below --p-max, got --q-max {args.q_max} "
+                             f"and --p-max {args.p_max}")
         q_values = tuple(primes_matching(args.q_max + 1)[1:])
     config = ScanConfig(p_max=args.p_max, theorems=_parse_theorems(args.theorems),
                         q_values=q_values, workers=_resolve_workers(args.workers))

@@ -1,9 +1,9 @@
 """Per-prime state: one PrimeContext holds everything derived from a prime p.
 
-The context validates p once and builds its residue index, which counts
-the residues in 1..x, on first use.  The block tables, block counts, h(-p)
-and the norm-form representations are kept here too, filled in by the
-products and classnum modules that compute them.
+A context validates p and is otherwise a plain record.  Its residue index,
+block tables, block counts, h(-p) and representations start empty; each is
+filled by its loader (load_residue_indexes here, products and classnum for
+the rest), which takes a batch of primes.  A single query is a batch of one.
 
 Block products come from a product tree of the lower half 1..(p-1)/2
 (Bernstein, "Fast multiplication and its applications", 2008), built for a
@@ -18,14 +18,16 @@ with a rank directory of the set bits before each word: p/4 bytes kept, a
 count in two gathers and a popcount.  Like the tree it is built for a
 batch of primes at once (load_residue_indexes), one row per prime, and
 each context keeps its row; products reads every block count of a batch
-from one gather over the rows and keeps them in ctx.counts.  A one-row
-build, every single query's, streams: _square_chunks yields j*j mod p for
-j = 1..(p-1)/2, each residue once, in chunks of 2**16, and the build marks
-them in a p-byte array.  The floor sum of Lemma 1 (classnum) streams the
-same chunks in O(2**16) memory at every p < 2**31, as square_floor_sum
-streams the quotients floor(j*j/p) for Dirichlet's h(-p).  Every O(p)
-kernel but a batch's reduces mod p by _reduce, which avoids hardware
-division.
+from one gather over the rows and keeps them in ctx.counts.
+
+Two kernels fork on one row, each for a measured reason: the tree reduces
+it by _reduce, which avoids hardware division (0.25 against 0.61 ms for a
+remainder by a column at 125k entries), and skips the padding mask (0.17
+of 1.1 ms at p = 499,979); the index streams _square_chunks, j*j mod p for
+j = 1..(p-1)/2 in chunks of 2**16, into a p-byte mark array instead of a
+(rows, h) int64 array, so it fits a 1 GiB cap at p = 268,435,399.  Lemma 1
+(classnum) and square_floor_sum (Dirichlet's h(-p)) stream the same way in
+O(2**16) memory at every p < 2**31.
 
 prime_context(p) keeps the latest context in a single slot.  A scan puts
 each prime's context there (use_context) before its verifiers run, so every
@@ -33,8 +35,6 @@ lookup inside a verifier hits that slot.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -48,9 +48,9 @@ P_LIMIT = 1 << 31
 
 
 class PrimeContext:
-    """Per-prime state for an odd prime p < 2**31: the residue index, built
-    on first use, and the block tables, block counts, h(-p) and
-    representations kept for p."""
+    """Per-prime state for an odd prime p < 2**31: the residue index, block
+    tables, block counts, h(-p) and representations of p, each empty until
+    its loader fills it."""
 
     def __init__(self, p: int) -> None:
         if p >= P_LIMIT:
@@ -58,6 +58,10 @@ class PrimeContext:
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
         self.p = p
+        # (words, rank): bit x of the little-endian uint64 words is set when
+        # x is a nonzero square mod p, and rank[w] counts the set bits in
+        # words[:w]; p/4 bytes, filled by load_residue_indexes
+        self.residue_index: tuple[np.ndarray, np.ndarray] | None = None
         # n -> PartialProductTable of the n blocks cut at floor(k*p/n),
         # for equal and floor-cut blocks alike; filled by products
         self.tables: dict = {}
@@ -68,23 +72,9 @@ class PrimeContext:
         # q -> Representation of 4*p**h(-q), filled by classnum
         self.representations: dict = {}
 
-    @cached_property
-    def residue_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(words, rank): bit x of the little-endian uint64 words is set
-        exactly when x is a nonzero square mod p, and rank[w] is the number
-        of set bits in words[:w].  p/4 bytes, from a one-row build (see
-        _residue_indexes); load_residue_indexes builds a batch's at once."""
-        words, rank = _residue_indexes([self.p])
-        return words[0], rank[0]
-
-    @property
-    def has_residue_index(self) -> bool:
-        """Whether the residue index is built."""
-        return "residue_index" in vars(self)
-
     def residue_counts(self, x) -> np.ndarray:
-        """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p:
-        the rank of x's word plus the set bits of that word up to bit x."""
+        """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p,
+        from the loaded index: x's word's rank plus its set bits up to bit x."""
         words, rank = self.residue_index
         x = np.asarray(x, dtype=np.int64)
         w = x >> 6
@@ -155,15 +145,13 @@ def _half_tree(primes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         _tree_store = np.empty(1 << (offset[-1] - 1).bit_length(), dtype=np.int64)
     flat = _tree_store[:offset[-1]]
     levels = [flat[a:b].reshape(rows, -1) for a, b in zip(offset, offset[1:])]
-    if rows == 1:
-        p = primes[0]
+    column = np.array(primes)[:, None]
 
-        def reduce(level):
-            _reduce(level[0], p)
-    else:
-        column = np.array(primes)[:, None]
-
-        def reduce(level):
+    def reduce(level):
+        # one row by _reduce, about twice as fast as a remainder by a column
+        if rows == 1:
+            _reduce(level[0], primes[0])
+        else:
             np.remainder(level, column, out=level)
 
     flat[[a + r * w + n for a, w, n in zip(offset, width[1:], size) if n & 1
@@ -176,7 +164,7 @@ def _half_tree(primes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     del odd
     if rows > 1:
         # a row of h leaves has ceil(h/2) = (p+1)//4 nodes here
-        level[np.arange(n) >= (np.array(primes)[:, None] + 1) // 4] = 1
+        level[np.arange(n) >= (column + 1) // 4] = 1
     # a row of odd h ends on leaf h, paired with a 1
     odd_rows = [(r, p) for r, p in enumerate(primes) if p & 2]
     level[[r for r, _ in odd_rows], [p // 4 for _, p in odd_rows]] = [p // 2 for _, p in odd_rows]
@@ -206,12 +194,12 @@ def half_products(primes: list[int], x_row, x, y_row, y) -> tuple[np.ndarray, np
     a = np.concatenate((x, np.where(y > 1, 1 - y, (p[rows[x.size:]] - 1) // 2)))
     a = a >> np.arange(offset.size)[:, None]
     node = np.abs(a - (a > 0))
+    # two in-place adds, which make one (levels, points) temporary fewer
     node += offset
-    if len(primes) > 1:
-        node += rows * width
+    node += rows * width
     out = flat[np.where(a & 1, node, -1)]
     out[0] = np.where(a[0] & 1, node[0] + 1, 1)
-    modulus = primes[0] if len(primes) == 1 else p[rows]
+    modulus = p[rows]
     w = out.shape[0]
     while w > 1:
         # fold the last half of the rows onto the first
@@ -275,8 +263,7 @@ def load_residue_indexes(contexts) -> tuple[np.ndarray, np.ndarray]:
     each context its row, and return the batch's (words, rank)."""
     words, rank = _residue_indexes([ctx.p for ctx in contexts])
     for ctx, row_words, row_rank in zip(contexts, words, rank):
-        # the cached_property's slot, so residue_index returns the row
-        vars(ctx)["residue_index"] = row_words, row_rank
+        ctx.residue_index = row_words, row_rank
     return words, rank
 
 

@@ -130,13 +130,8 @@ def _fill_tables(todo) -> None:
     # f[len(hi):] = h!, and (-1)**(h+1) h! is the inverse of h!
     p = np.array(primes)
     fact = f[len(hi):]
-    inverse = np.where(p & 2, fact, p - fact)
-    if len(primes) == 1:
-        # scalars, as in the one-row tree
-        pk = pm = primes[0]
-        inverse = inverse[0]
-    else:
-        pk, pm, inverse = p[row], p[mid_row], inverse[row]
+    inverse = np.where(p & 2, fact, p - fact)[row]
+    pk, pm = p[row], p[mid_row]
     lower = f[:len(hi)] * s[:len(hi)] % pk * inverse % pk
     upper = np.where(np.subtract(hi, lo) & 1, pk - lower, lower).tolist()
     central = s[len(hi):] ** 2 % pm
@@ -172,9 +167,12 @@ def generalized_partial_products(p: int, q: int) -> PartialProductTable:
 
 def residue_mask(p: int) -> np.ndarray:
     """Boolean array of length p: entry v is True iff v is a nonzero square
-    mod p.  Unpacked from the residue index on each call; the package itself
-    counts residues without it."""
-    words, _ = prime_context(p).residue_index
+    mod p.  Unpacked on each call from the residue index, loaded if the
+    context has none; the package counts residues without it."""
+    ctx = prime_context(p)
+    if ctx.residue_index is None:
+        load_residue_indexes([ctx])
+    words, _ = ctx.residue_index
     return np.unpackbits(words.view(np.uint8), count=p, bitorder="little").view(bool)
 
 
@@ -210,9 +208,9 @@ def load_block_counts(batch) -> list[list[BlockCounts]]:
             for ctx, sizes in batch]
     todo = [(ctx, missing) for ctx, missing in todo if missing]
     for ctx, missing in todo:
-        if ctx.has_residue_index:
+        if ctx.residue_index is not None:
             _fill_counts([(ctx, missing)], *(a[None] for a in ctx.residue_index))
-    fresh = [(ctx, missing) for ctx, missing in todo if not ctx.has_residue_index]
+    fresh = [(ctx, missing) for ctx, missing in todo if ctx.residue_index is None]
     if fresh:
         _fill_counts(fresh, *load_residue_indexes([ctx for ctx, _ in fresh]))
     return [[ctx.counts[n] for n in sizes] for ctx, sizes in batch]

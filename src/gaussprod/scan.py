@@ -21,12 +21,13 @@ import multiprocessing
 import time
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .arith import is_prime, primes_matching
 from . import context
 from .context import P_LIMIT, use_context
 from .products import load_block_counts, load_block_tables
-from .theorems import (REGIMES, THEOREM_IDS, _VERIFIERS, block_layout,
-                       regime_q_reason, scan_domain)
+from .theorems import REGIMES, THEOREM_IDS, _VERIFIERS, block_layout, regime_q_reason
 from .verdict import Verdict
 
 __all__ = [
@@ -138,22 +139,20 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
 
 def _build_units(config: ScanConfig) -> tuple[list, dict[str, int]]:
     """Prime-major work units: runs of consecutive primes, each with its
-    (theorem, q) pairs, cut so that every unit holds about the same sum of
-    p, since the per-prime set-up grows linearly in p."""
+    (theorem, q) pairs, taken by masks from one list of the primes below
+    p_max, and cut so that every unit holds about the same sum of p, since
+    the per-prime set-up grows linearly in p."""
     skipped: dict[str, int] = {tid: 0 for tid in config.theorems}
-    domains: dict[tuple, list[int]] = {}
+    below = np.array(primes_matching(config.p_max), dtype=np.int64)
     work: dict[int, list[tuple[str, int | None]]] = {}
     for tid in config.theorems:
         for q in _resolved_q(config, tid):
             if regime_q_reason(tid, q) is not None:
                 skipped[tid] += 1
                 continue
-            constraints, min_p = scan_domain(tid, q)
-            key = (tuple(constraints), min_p)
-            if key not in domains:
-                domains[key] = [p for p in primes_matching(config.p_max, constraints)
-                                if p > min_p]
-            for p in domains[key]:
+            classes, min_p = REGIMES[tid].p_classes(q)
+            keep = np.logical_and.reduce([below > min_p] + [below % m == r for m, r in classes])
+            for p in below[keep].tolist():
                 work.setdefault(p, []).append((tid, q))
     primes = sorted(work)
     target = sum(primes) / (config.workers * 4)

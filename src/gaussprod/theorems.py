@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import CongruenceConstraint, is_prime
+from .arith import is_prime
 from .classnum import (class_number_dirichlet, hahn_lee_representation,
                        square_subgroup)
 from .context import PrimeContext, prime_context
@@ -26,7 +26,6 @@ __all__ = [
     "Regime",
     "block_layout",
     "regime_q_reason",
-    "scan_domain",
     "verify",
     "verify_corollary",
     "verify_eq2_parity",
@@ -97,14 +96,6 @@ def regime_q_reason(theorem_id: str, q: int | None) -> str | None:
     if reg.q_mod_4 is not None and q % 4 != reg.q_mod_4:
         return f"q={q}: need q == {reg.q_mod_4} (mod 4)"
     return None
-
-
-def scan_domain(theorem_id: str, q: int | None) -> tuple[list[CongruenceConstraint], int]:
-    """Prime-enumeration recipe for one theorem at one q: CRT constraints
-    plus a strict lower bound on p.  Callers must have cleared
-    regime_q_reason first."""
-    classes, min_p = REGIMES[theorem_id].p_classes(q)
-    return [CongruenceConstraint(m, r) for m, r in classes], min_p
 
 
 def block_layout(theorem_id: str, q: int | None) -> int | None:

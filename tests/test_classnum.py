@@ -21,7 +21,7 @@ from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        square_subgroup)
 from gaussprod.classnum import (_FORMS_BLOCK, _hensel_lift,
                                 _smallest_b_associate, _sqrt_mod_prime)
-from gaussprod.context import PrimeContext
+from gaussprod.context import PrimeContext, load_residue_indexes
 from gaussprod.products import residue_mask
 
 from oracles import (naive_class_number, naive_class_number_dirichlet,
@@ -89,8 +89,9 @@ def test_forms_matches_dirichlet_across_blocks(monkeypatch):
         fresh = PrimeContext(p)
         monkeypatch.setattr(context, "_slot", fresh)
         assert class_number_dirichlet(p).h == h, p
-        assert "residue_index" not in vars(fresh), p
+        assert fresh.residue_index is None, p
         built = PrimeContext(p)
+        load_residue_indexes([built])
         assert int(built.residue_counts(p - 1)) == half
         monkeypatch.setattr(context, "_slot", built)
         assert class_number_dirichlet(p).h == h, p
@@ -106,7 +107,7 @@ def test_streamed_dirichlet_matches_forms():
         half = (p - 1) // 2
         h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
         assert h == class_number_forms(p).h, p
-        assert not ctx.has_residue_index, p
+        assert ctx.residue_index is None, p
 
 
 BOUNDED_P = 268_435_399
@@ -145,7 +146,7 @@ def test_block_counts_in_bounded_memory():
         f"from gaussprod import *\n"
         f"from gaussprod.context import prime_context\n"
         f"c = block_counts({p}, 97, generalized=True)\n"
-        f"print(sum(c.residues), prime_context({p}).has_residue_index,"
+        f"print(sum(c.residues), prime_context({p}).residue_index is not None,"
         f" class_number_dirichlet({p}).h)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [str((p - 1) // 2), "True", "7545"]

@@ -87,6 +87,17 @@ def test_scan_usage_errors(capsys):
     assert code == 2 and "mutually exclusive" in err
     code, _, err = run_cli(capsys, "scan", "--p-max", "100", "--workers", "0")
     assert code == 2
+    # no regime admits q >= p, so a q bound at or above the p bound is refused
+    # at the start, before any q is enumerated
+    for q_max in ("100", "3000000"):
+        code, _, err = run_cli(capsys, "scan", "--p-max", "100", "--q-max", q_max,
+                               "--theorems", "t1")
+        assert code == 2, q_max
+        assert err.count("error:") == 1 and "--q-max" in err and "--p-max" in err, err
+        assert q_max in err and "100" in err, err
+    code, _, _ = run_cli(capsys, "scan", "--p-max", "100", "--q-max", "99",
+                         "--theorems", "t1")
+    assert code == 0
 
 
 def test_scan_failure_exit_code(monkeypatch, capsys):

@@ -7,7 +7,8 @@ import pytest
 
 import gaussprod.context as context
 import gaussprod.products as products
-from gaussprod.context import PrimeContext, half_products, prime_context
+from gaussprod.context import (PrimeContext, half_products, load_residue_indexes,
+                               prime_context)
 from gaussprod.products import (block_counts, load_block_counts, load_block_tables,
                                 residue_mask)
 from gaussprod.scan import ScanConfig, run_scan
@@ -63,6 +64,7 @@ def test_residue_counts_match_naive():
         squares = {x * x % p for x in range(1, p)}
         want = list(accumulate(x in squares for x in range(p)))
         ctx = PrimeContext(p)
+        load_residue_indexes([ctx])
         assert ctx.residue_counts(np.arange(p)).tolist() == want, p
         assert int(ctx.residue_counts(p - 1)) == (p - 1) // 2, p
 
@@ -94,7 +96,9 @@ def test_block_counts_of_a_batch_match_naive(monkeypatch, empty_slot):
     for (ctx, (qs, equal)), got in zip(batch, counts):
         p = ctx.p
         words, rank = ctx.residue_index
-        one_words, one_rank = PrimeContext(p).residue_index
+        one = PrimeContext(p)
+        load_residue_indexes([one])
+        one_words, one_rank = one.residue_index
         assert builds[-1] == [p]
         used = one_words.size
         assert np.array_equal(words[:used], one_words), p
@@ -187,7 +191,9 @@ def test_residue_counts_at_word_boundaries():
     for p in (127, 131, 191, 193, 257, 4099):
         xs = [0, 63, 64, p - 1]
         want = residue_counts_by_mask(p)[xs].tolist()
-        assert PrimeContext(p).residue_counts(xs).tolist() == want, p
+        ctx = PrimeContext(p)
+        load_residue_indexes([ctx])
+        assert ctx.residue_counts(xs).tolist() == want, p
         assert want[-1] == (p - 1) // 2, p
 
 
@@ -197,6 +203,7 @@ def test_kernels_at_a_mid_size_prime(empty_slot):
     # loops and a mask of the squares
     p, h = MID_P, (MID_P - 1) // 2
     ctx = prime_context(p)
+    load_residue_indexes([ctx])
     counts = residue_counts_by_mask(p)
     assert np.array_equal(ctx.residue_counts(np.arange(p)), counts)
     words, rank = ctx.residue_index
@@ -276,6 +283,27 @@ def test_tree_storage_is_kept_and_never_shared(monkeypatch, empty_slot):
     assert int(f[0]) == math.factorial(999) % 1999
 
 
+def test_a_fresh_context_holds_nothing(monkeypatch, empty_slot):
+    # every field waits for its loader: reading the residue index builds
+    # nothing, and a block count query sets it
+    builds = []
+    build = context._residue_indexes
+    monkeypatch.setattr(context, "_residue_indexes",
+                        lambda primes: builds.append(primes) or build(primes))
+    ctx = PrimeContext(1999)
+    assert ctx.residue_index is None
+    assert ctx.residue_index is None
+    assert builds == []
+    assert ctx.tables == {} and ctx.counts == {} and ctx.representations == {}
+    assert ctx.class_number is None
+    [[counts]] = load_block_counts([(ctx, [3])])
+    assert builds == [[1999]]
+    assert ctx.residue_index is not None
+    assert ctx.counts == {3: counts}
+    assert (list(counts.residues), list(counts.nonresidues)) == naive_block_counts(
+        1999, 3, generalized=True)
+
+
 def test_legendre_matches_naive():
     for p in ODD_PRIMES_600[:40]:
         ctx = PrimeContext(p)
@@ -334,6 +362,7 @@ def test_scan_never_builds_a_mask(monkeypatch, empty_slot):
     assert {v.theorem_id for v in report.verdicts} == set(THEOREM_IDS)
     assert all(v.passed for v in report.verdicts)
     ctx = PrimeContext(1999)
+    load_residue_indexes([ctx])
     assert int(ctx.residue_counts(1998)) == 999
     for name in ("mask", "cum"):
         assert not hasattr(ctx, name), name

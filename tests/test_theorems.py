@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from gaussprod import (CongruenceConstraint, RegimeError, THEOREM_IDS,
-                       class_number_dirichlet, primes_matching,
+                       class_number_dirichlet, is_prime, primes_matching,
                        regime_q_reason, verify, verify_corollary,
                        verify_eq2_parity, verify_eq_a, verify_mordell,
                        verify_symmetry, verify_theorem1, verify_theorem2,
                        verify_theorem3, verify_theorem4)
-from gaussprod.theorems import REGIMES, scan_domain
+from gaussprod.scan import ScanConfig, _build_units
+from gaussprod.theorems import REGIMES
 from gaussprod.verdict import _exact
 
 
@@ -202,24 +203,30 @@ def test_regime_q_reason():
     assert regime_q_reason("symmetry", 13) is None
 
 
-def test_scan_domain_constraints_match_verifier_regimes():
-    # both directions: verify raises RegimeError exactly when q is ruled out
-    # or p is not among the primes of the domain recipe
+def test_scan_enumeration_matches_verifier_regimes():
+    # both directions: verify raises RegimeError exactly at the (p, q) the
+    # scan's own enumeration leaves out.  ScanConfig rejects the q that are
+    # not odd primes (1, 2, 9, 15); regime_q_reason rules them out for every
+    # theorem that takes a q
     qs = (1, 2, 3, 5, 7, 9, 11, 13, 15, 19, 23, 31)
+    scan_qs = tuple(q for q in qs if q > 2 and is_prime(q))
     for tid in THEOREM_IDS:
+        units, skipped = _build_units(ScanConfig(p_max=600, theorems=(tid,),
+                                                 q_values=scan_qs))
+        domain = {(p, q) for unit in units for p, work in unit for _, q in work}
+        assert skipped[tid] == (0 if tid == "mordell" else sum(
+            regime_q_reason(tid, q) is not None for q in scan_qs))
         for q in ((None,) if tid == "mordell" else qs):
-            domain = set()
-            if regime_q_reason(tid, q) is None:
-                constraints, min_p = scan_domain(tid, q)
-                domain = {p for p in primes_matching(600, constraints) if p > min_p}
+            if q not in scan_qs and q is not None:
+                assert regime_q_reason(tid, q) is not None, (tid, q)
             for p in range(2, 600):
                 try:
                     v = verify(tid, p, q)
                 except RegimeError as exc:
-                    assert p not in domain, (tid, p, q, exc)
+                    assert (p, q) not in domain, (tid, p, q, exc)
                     assert str(exc).startswith(f"{tid}: "), exc
                 else:
-                    assert p in domain, (tid, p, q)
+                    assert (p, q) in domain, (tid, p, q)
                     assert v.theorem_id == tid and v.p == p
 
 

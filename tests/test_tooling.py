@@ -1,6 +1,7 @@
-"""Names that other code looks up by string must exist: the benchmark
-tracer's targets, and every public name a module exports.  A deletion that
-leaves one behind must fail here, not at benchmark time or on import *."""
+"""Names that other code or the docs look up by string must exist: the
+benchmark tracer's targets, every public name a module exports, and the
+dotted names README.md quotes.  A deletion that leaves one behind must fail
+here, not at benchmark time, on import * or in a reader's hands."""
 
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import gaussprod
 from gaussprod import selftest, theorems
+from gaussprod.context import PrimeContext
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -49,3 +51,28 @@ def test_readme_fixture_count_matches_selftest():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     counts = [int(n) for n in re.findall(r"(\d+) frozen fixtures", readme)]
     assert counts == [len(selftest.FIXTURES)]
+
+
+def test_readme_names_resolve():
+    # every backticked dotted name whose head is a gaussprod module or
+    # PrimeContext (read on a context, so fields count too)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)
+    heads = {info.name: importlib.import_module(f"gaussprod.{info.name}")
+             for info in pkgutil.iter_modules(gaussprod.__path__)
+             if info.name != "__main__"}
+    heads["PrimeContext"] = PrimeContext(3)
+    names = [name for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", prose)
+             if name.split(".")[0] in heads]
+    assert len(names) >= 5
+
+    def resolves(name):
+        head, *rest = name.split(".")
+        obj = heads[head]
+        for attr in rest:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+
+    assert [name for name in names if not resolves(name)] == []
