@@ -74,9 +74,13 @@ def class_number_dirichlet(p: int) -> ClassNumberResult:
 
         h(-p) = h' - h'(h' + 1)/3 + 2*(sum of floor(j*j/p) over j <= h').
     """
-    ctx = _discriminant_context(p)
+    return _dirichlet(_discriminant_context(p))
+
+
+def _dirichlet(ctx: PrimeContext) -> ClassNumberResult:
+    """class_number_dirichlet(ctx.p), kept in ctx.class_number."""
     if ctx.class_number is None:
-        half = (p - 1) // 2
+        p, half = ctx.p, (ctx.p - 1) // 2
         if ctx.residue_index is not None:
             char_sum = 2 * int(ctx.residue_counts(half)) - half
             denom = 2 - ctx.legendre(2)
@@ -312,13 +316,14 @@ def hahn_lee_representation(p: int, q: int) -> Representation:
         raise RegimeError(f"q must be a prime == 3 (mod 4), got {q}")
     if p % q != 1:
         raise RegimeError(f"p must be a prime == 1 (mod q), got p={p}, q={q}")
-    representations = prime_context(p).representations
-    if q not in representations:
-        representations[q] = _representation(p, q)
-    return representations[q]
+    return _representation(prime_context(p), q)
 
 
-def _representation(p: int, q: int) -> Representation:
+def _representation(ctx: PrimeContext, q: int) -> Representation:
+    """hahn_lee_representation(ctx.p, q), kept in ctx.representations."""
+    if q in ctx.representations:
+        return ctx.representations[q]
+    p = ctx.p
     h = class_number_forms(q).h
     m = p ** h
     root = _hensel_lift(_sqrt_mod_prime(-q, p), -q, p, h)
@@ -344,4 +349,5 @@ def _representation(p: int, q: int) -> Representation:
     if not (b % p or a % p):
         raise InternalCheckError(
             f"imprimitive representation at p={p}, q={q}: a={a}, b={b}")
-    return Representation(p=p, q=q, h=h, a=a, b=b)
+    ctx.representations[q] = Representation(p=p, q=q, h=h, a=a, b=b)
+    return ctx.representations[q]

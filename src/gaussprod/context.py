@@ -29,9 +29,8 @@ j = 1..(p-1)/2 in chunks of 2**16, into a p-byte mark array instead of a
 (classnum) and square_floor_sum (Dirichlet's h(-p)) stream the same way in
 O(2**16) memory at every p < 2**31.
 
-prime_context(p) keeps the latest context in a single slot.  A scan puts
-each prime's context there (use_context) before its verifiers run, so every
-lookup inside a verifier hits that slot.
+prime_context(p) keeps the latest context in a single slot, for the
+public single queries; a scan hands its contexts to the verifiers instead.
 """
 
 from __future__ import annotations
@@ -40,8 +39,7 @@ import numpy as np
 
 from .arith import is_prime
 
-__all__ = ["P_LIMIT", "PrimeContext", "half_products", "load_residue_indexes", "prime_context",
-           "use_context"]
+__all__ = ["P_LIMIT", "PrimeContext", "half_products", "load_residue_indexes", "prime_context"]
 
 # int64 stays exact for products of two residues and for j*j below this bound
 P_LIMIT = 1 << 31
@@ -273,9 +271,3 @@ def prime_context(p: int) -> PrimeContext:
     if _slot is None or _slot.p != p:
         _slot = PrimeContext(p)
     return _slot
-
-
-def use_context(ctx: PrimeContext) -> None:
-    """Put ctx in the slot, so that prime_context(ctx.p) returns it."""
-    global _slot
-    _slot = ctx

@@ -4,7 +4,7 @@ The engine is prime-major: it maps each prime p to the (theorem, q) pairs
 that apply to it, and works through runs of consecutive primes in batches.
 For a batch it creates each prime's PrimeContext, loads every block table
 of every prime in one query and every block count in another, then runs
-each prime's verifiers with its context in the prime_context slot.
+each prime's verifier bodies on its context.
 
 Reports are deterministic functions of the mathematical domain: verdicts are
 sorted by (p, q, theorem_id) after the parallel phase, so the worker count
@@ -25,7 +25,7 @@ import numpy as np
 
 from .arith import is_prime, primes_matching
 from . import context
-from .context import P_LIMIT, use_context
+from .context import P_LIMIT
 from .products import load_block_counts, load_block_tables
 from .theorems import REGIMES, THEOREM_IDS, _VERIFIERS, block_layout, regime_q_reason
 from .verdict import Verdict
@@ -74,6 +74,8 @@ class ScanConfig:
         if len(set(self.theorems)) != len(self.theorems):
             raise ValueError("duplicate theorem ids")
         if self.q_values is not None:
+            if not self.q_values:
+                raise ValueError("q_values must not be empty; None means the default list")
             for q in self.q_values:
                 if q < 3 or q % 2 == 0 or not is_prime(q):
                     raise ValueError(f"q values must be odd primes, got {q}")
@@ -129,11 +131,10 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
         # index instead of streamed at a prime that builds it anyway
         load_block_counts([(ctx, [q for tid, q in work if REGIMES[tid].counts])
                            for ctx, (_, work) in zip(contexts, batch)])
-        for ctx, (p, work) in zip(contexts, batch):
-            use_context(ctx)
+        for ctx, (_, work) in zip(contexts, batch):
             for tid, q in work:
                 # looked up per call, so a replaced verifier takes effect at once
-                out.append(_VERIFIERS[tid](p, q))
+                out.append(_VERIFIERS[tid](ctx, q))
     return out
 
 

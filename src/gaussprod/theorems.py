@@ -1,10 +1,12 @@
 """Verifiers for the quadratic-residue claims about block partial products.
 
-Every verifier takes a concrete (p, q) in the regime of one claim, computes
-both sides independently, and returns a Verdict whose ``passed`` flag is
-exactly ``predicted == computed``.  Out-of-regime inputs raise RegimeError so
-sweep drivers can tell "not applicable" apart from "refuted".  REGIMES states
-each claim's hypotheses once, for the verifiers and for the scan alike.
+Each claim's body, in _VERIFIERS, takes a loaded PrimeContext and a q in the
+claim's regime, computes both sides independently from the context, and
+returns a Verdict whose ``passed`` flag is exactly ``predicted == computed``.
+verify, behind every verify_*(p, q), checks the regime once and loads the
+context; a scan loads its batches itself.  Out-of-regime inputs raise
+RegimeError so sweep drivers can tell "not applicable" apart from "refuted".
+REGIMES states each claim's hypotheses once, for verify and the scan alike.
 """
 
 from __future__ import annotations
@@ -12,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .classnum import (class_number_dirichlet, hahn_lee_representation,
-                       square_subgroup)
+from .classnum import _dirichlet, _representation, square_subgroup
 from .context import PrimeContext, prime_context
 from .errors import RegimeError
-from .products import (block_counts, block_ranges, enlarged_block_index,
-                       partial_products, selected_block_indices, theorem1_product)
+from .products import (_cuts, _enlarged_index, _product, load_block_counts,
+                       load_block_tables, selected_block_indices)
 from .verdict import Verdict, _exact, make_verdict
 
 __all__ = [
@@ -107,70 +108,71 @@ def block_layout(theorem_id: str, q: int | None) -> int | None:
     return 2 if reg.p_mod_q is None else q
 
 
-def _check_regime(theorem_id: str, p: int, q: int | None) -> PrimeContext:
-    """The context of p once (p, q) meets the theorem's regime; otherwise
-    RegimeError, naming the theorem and the first broken hypothesis."""
-    reason = regime_q_reason(theorem_id, q)
-    if reason is not None:
-        raise RegimeError(f"{theorem_id}: {reason}")
-    classes, min_p = REGIMES[theorem_id].p_classes(q)
-    for modulus, residue in classes:
-        if p % modulus != residue:
-            raise RegimeError(
-                f"{theorem_id}: p={p}: need p == {residue} (mod {modulus})")
-    if p <= min_p:
-        raise RegimeError(f"{theorem_id}: p={p}: need p > {min_p}")
-    try:
-        return prime_context(p)
-    except ValueError as exc:
-        raise RegimeError(f"{theorem_id}: {exc}") from None
+def _selected_product(ctx: PrimeContext, q: int) -> int:
+    """theorem1_product(ctx.p, q) from ctx's table of q blocks."""
+    return _product([ctx.tables[q].values[k - 1] for k in selected_block_indices(q)], ctx.p)
 
 
 def verify_mordell(p: int, q: int | None = None) -> Verdict:
     """((p-1)/2)! == (-1)**((1 + h(-p))/2) (mod p) for primes p == 3 (mod 4),
     p > 3; the claim takes no q, so q is ignored."""
-    _check_regime("mordell", p, None)
-    half_fact = partial_products(p, 2).block(1)
-    computed = {1: 1, p - 1: -1}.get(half_fact, half_fact)
-    h = class_number_dirichlet(p).h
+    return verify("mordell", p)
+
+
+def _mordell(ctx: PrimeContext, q: None) -> Verdict:
+    half_fact = ctx.tables[2].values[0]
+    computed = {1: 1, ctx.p - 1: -1}.get(half_fact, half_fact)
+    h = _dirichlet(ctx).h
     predicted = -1 if ((1 + h) // 2) % 2 else 1
-    return make_verdict("mordell", p, None, predicted, computed,
+    return make_verdict("mordell", ctx.p, None, predicted, computed,
                         detail=f"((p-1)/2)! = {half_fact} mod p, h(-p) = {h}")
 
 
 def verify_theorem1(p: int, q: int) -> Verdict:
     """The product of the selected lower-half blocks is a quadratic residue."""
-    ctx = _check_regime("t1", p, q)
-    value = theorem1_product(p, q)
-    return make_verdict("t1", p, q, 1, ctx.legendre(value),
+    return verify("t1", p, q)
+
+
+def _t1(ctx: PrimeContext, q: int) -> Verdict:
+    value = _selected_product(ctx, q)
+    return make_verdict("t1", ctx.p, q, 1, ctx.legendre(value),
                         detail=f"selected product = {value}")
 
 
 def verify_corollary(p: int, q: int) -> Verdict:
     """Evenly many of the selected blocks are nonresidues."""
-    ctx = _check_regime("corollary", p, q)
-    table = partial_products(p, q)
+    return verify("corollary", p, q)
+
+
+def _corollary(ctx: PrimeContext, q: int) -> Verdict:
+    values = ctx.tables[q].values
     ks = selected_block_indices(q)
-    syms = [ctx.legendre(table.block(k)) for k in ks]
+    syms = [ctx.legendre(values[k - 1]) for k in ks]
     parity = sum(1 for s in syms if s < 0) % 2
     detail = " ".join(f"k={k}:{s:+d}" for k, s in zip(ks, syms))
     if q == 7:
         # the selected set is {1, 3}, so even parity means equal symbols
         detail += f"; pair ({syms[0]:+d},{syms[1]:+d})"
-    return make_verdict("corollary", p, q, 0, parity, detail=detail)
+    return make_verdict("corollary", ctx.p, q, 0, parity, detail=detail)
 
 
 def verify_eq_a(p: int, q: int) -> Verdict:
     """Norm-form side (a|p) against the signed product of block factorials
     over the indices i with -i a square mod q."""
-    ctx = _check_regime("eq_a", p, q)
-    rep = hahn_lee_representation(p, q)
+    return verify("eq_a", p, q)
+
+
+def _eq_a(ctx: PrimeContext, q: int) -> Verdict:
+    p = ctx.p
+    rep = _representation(ctx, q)
     lhs = ctx.legendre(rep.a)
     sub = square_subgroup(q)
-    pref = partial_products(p, q).prefix_factorials()
-    val = 1
-    for i in sub.neg_square_indices:
-        val = val * pref[i - 1] % p
+    # acc runs through the block factorials c_i!, i = 1..q-1
+    acc = val = 1
+    for i, v in enumerate(ctx.tables[q].values[:-1], start=1):
+        acc = acc * v % p
+        if q - i in sub.squares:
+            val = val * acc % p
     if int(sub.beta) % 2:
         val = p - val
     rhs = ctx.legendre(val)
@@ -183,47 +185,49 @@ def verify_theorem2(p: int, q: int) -> Verdict:
     """(a|p) == (-1)**((q+1)/4) in the doubly constrained regime, plus the
     bridge: the selected-block product and the product of the first (q-1)/2
     block factorials carry the same symbol."""
-    ctx = _check_regime("t2", p, q)
-    rep = hahn_lee_representation(p, q)
+    return verify("t2", p, q)
+
+
+def _t2(ctx: PrimeContext, q: int) -> Verdict:
+    p = ctx.p
+    rep = _representation(ctx, q)
     predicted_sym = -1 if ((q + 1) // 4) % 2 else 1
     computed_sym = ctx.legendre(rep.a)
-    s_selected = ctx.legendre(theorem1_product(p, q))
-    pref = partial_products(p, q).prefix_factorials()
-    val = 1
-    for i in range(1, (q - 1) // 2 + 1):
-        val = val * pref[i - 1] % p
+    s_selected = ctx.legendre(_selected_product(ctx, q))
+    acc = val = 1
+    for v in ctx.tables[q].values[:(q - 1) // 2]:
+        acc = acc * v % p
+        val = val * acc % p
     bridge = 1 if s_selected == ctx.legendre(val) else 0
     return make_verdict("t2", p, q, (predicted_sym, 1), (computed_sym, bridge),
                         detail=f"a={rep.a} b={rep.b} h(-q)={rep.h}")
-
-
-_T3_PLUS = frozenset({1, 15})
-_T3_MINUS = frozenset({7, 9})
-_T3_H = frozenset({3, 13})
 
 
 def verify_theorem3(p: int, q: int) -> Verdict:
     """Symbol of the selected generalized-block product when p == 2 (mod q),
     predicted from q mod 16 and h(-p); also checks every block has
     (p-2)/q elements except the central one, which has one more."""
-    ctx = _check_regime("t3", p, q)
-    value = theorem1_product(p, q, generalized=True)
+    return verify("t3", p, q)
+
+
+def _t3(ctx: PrimeContext, q: int) -> Verdict:
+    p = ctx.p
+    value = _selected_product(ctx, q)
     sym = ctx.legendre(value)
-    h = class_number_dirichlet(p).h
+    h = _dirichlet(ctx).h
     qm = q % 16
-    if qm in _T3_PLUS:
+    if qm in (1, 15):
         predicted_sym = 1
-    elif qm in _T3_MINUS:
+    elif qm in (7, 9):
         predicted_sym = -1
-    elif qm in _T3_H:
+    elif qm in (3, 13):
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
     else:
         predicted_sym = -1 if (1 + (h + 1) // 2) % 2 else 1
-    base = (p - 2) // q
-    center = (q + 1) // 2
-    sizes_ok = 1 if all(
-        hi - lo + 1 == base + (1 if k == center else 0)
-        for k, (lo, hi) in enumerate(block_ranges(p, q, generalized=True), start=1)) else 0
+    base, center = (p - 2) // q, (q + 1) // 2
+    cuts = _cuts(p, q)
+    sizes_ok = 1 if [hi - lo for lo, hi in zip(cuts, cuts[1:])] == (
+        [base] * (center - 1) + [base + 1] + [base] * (q - center)) else 0
     return make_verdict("t3", p, q, (predicted_sym, 1), (sym, sizes_ok),
                         detail=f"product={value} h(-p)={h} q%16={qm}")
 
@@ -232,26 +236,27 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     """Symbol of the selected generalized-block product when p == 3 (mod q),
     predicted from q mod 12 and h(-p); checks the two enlarged-block
     positions, the exact count identity, and its mod-2 reduction."""
-    ctx = _check_regime("t4", p, q)
-    value = theorem1_product(p, q, generalized=True)
+    return verify("t4", p, q)
+
+
+def _t4(ctx: PrimeContext, q: int) -> Verdict:
+    p = ctx.p
+    value = _selected_product(ctx, q)
     sym = ctx.legendre(value)
-    # counted first, so that h(-p) is read from the residue index they build
-    counts = block_counts(p, q, generalized=True)
-    h = class_number_dirichlet(p).h
+    counts = ctx.counts[q]
+    h = _dirichlet(ctx).h
     qm = q % 12
     if qm in (1, 11):
         predicted_sym = 1
     else:
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
     base = (p - 3) // q
-    kstar = enlarged_block_index(q)
+    kstar = _enlarged_index(q)
     enlarged = {kstar, q + 1 - kstar}
-    sizes_ok = 1 if all(
-        counts.block_size(k) == base + (1 if k in enlarged else 0)
-        for k in range(1, q + 1)) else 0
-    half = (q - 1) // 2
-    rhs = sum(counts.nonresidues[k - 1] * ((q + 1) // 2 - k)
-              for k in range(1, half + 1))
+    sizes_ok = 1 if all(r + n == base + (k in enlarged) for k, r, n in
+                        zip(range(1, q + 1), counts.residues, counts.nonresidues)) else 0
+    # block k <= (q-1)/2 weighs (q+1)/2 - k
+    rhs = sum(n * w for n, w in zip(counts.nonresidues, range((q - 1) // 2, 0, -1)))
     jq3 = (0, 1, -1)[q % 3]     # (q|3)
     # rhs == (q*q-1)/8 * (p-3)/(2q) + (q-(q|3))/12 - (q-(q|p))*h/4, times 48q
     lhs = (3 * (q * q - 1) * (p - 3) + 4 * q * (q - jq3)
@@ -267,23 +272,23 @@ def verify_theorem4(p: int, q: int) -> Verdict:
 def verify_eq2_parity(p: int, q: int) -> Verdict:
     """Exact count identities tying h(-p) to weighted block counts, and the
     evenness of the nonresidue count over odd-weight lower-half blocks."""
-    ctx = _check_regime("eq2_parity", p, q)
-    counts = block_counts(p, q)
-    h = class_number_dirichlet(p).h
+    return verify("eq2_parity", p, q)
+
+
+def _eq2_parity(ctx: PrimeContext, q: int) -> Verdict:
+    counts = ctx.counts[q]
+    h = _dirichlet(ctx).h
     s = ctx.legendre(q)
-    half = (q - 1) // 2
-    weights = [(q + 1) // 2 - k for k in range(1, half + 1)]
-    rhs_diff = sum((counts.residues[k - 1] - counts.nonresidues[k - 1]) * w
-                   for k, w in enumerate(weights, start=1))
-    rhs_nonres = sum(counts.nonresidues[k - 1] * w
-                     for k, w in enumerate(weights, start=1))
-    parity = sum(counts.nonresidues[k - 1]
-                 for k, w in enumerate(weights, start=1) if w % 2) % 2
+    # block k <= (q-1)/2 weighs (q+1)/2 - k
+    rows = list(zip(counts.residues, counts.nonresidues, range((q - 1) // 2, 0, -1)))
+    rhs_diff = sum((r - n) * w for r, n, w in rows)
+    rhs_nonres = sum(n * w for _, n, w in rows)
+    parity = sum(n for _, n, w in rows if w % 2) % 2
     # (q-s)*h/2, and (q*q-1)/8 * (p-1)/(2q) - (q-s)*h/4 over 16q
     predicted = (_exact((q - s) * h, 2),
-                 _exact((q * q - 1) * (p - 1) - 4 * q * (q - s) * h, 16 * q), 0)
+                 _exact((q * q - 1) * (ctx.p - 1) - 4 * q * (q - s) * h, 16 * q), 0)
     computed = (rhs_diff, rhs_nonres, parity)
-    return make_verdict("eq2_parity", p, q, predicted, computed,
+    return make_verdict("eq2_parity", ctx.p, q, predicted, computed,
                         detail=f"h(-p)={h} (q|p)={s:+d}")
 
 
@@ -293,38 +298,50 @@ def verify_symmetry(p: int, q: int) -> Verdict:
     q+1-k is built as the mirror of block k, so the equality checks the
     mirror's sign; the blocks themselves are checked against naive products
     in the tests."""
-    ctx = _check_regime("symmetry", p, q)
-    table = partial_products(p, q)
+    return verify("symmetry", p, q)
+
+
+def _symmetry(ctx: PrimeContext, q: int) -> Verdict:
+    table = ctx.tables[q]
     vals = table.values
-    mismatches = sum(1 for k in range(1, q + 1) if vals[k - 1] != vals[q - k])
+    mismatches = sum(a != b for a, b in zip(vals, reversed(vals)))
     central_value = vals[(q + 1) // 2 - 1]
     central = ctx.legendre(central_value)
     full = table.full_product()
     wilson = ctx.legendre(full)
-    return make_verdict("symmetry", p, q, (0, -1, -1),
+    return make_verdict("symmetry", ctx.p, q, (0, -1, -1),
                         (mismatches, central, wilson),
                         detail=f"central={central_value} full={full}")
 
 
-_VERIFIERS = {
-    "mordell": verify_mordell,
-    "t1": verify_theorem1,
-    "corollary": verify_corollary,
-    "eq_a": verify_eq_a,
-    "t2": verify_theorem2,
-    "t3": verify_theorem3,
-    "t4": verify_theorem4,
-    "eq2_parity": verify_eq2_parity,
-    "symmetry": verify_symmetry,
-}
+_VERIFIERS = {"mordell": _mordell, "t1": _t1, "corollary": _corollary, "eq_a": _eq_a,
+              "t2": _t2, "t3": _t3, "t4": _t4, "eq2_parity": _eq2_parity,
+              "symmetry": _symmetry}
 
 THEOREM_IDS = tuple(sorted(_VERIFIERS))
 
 
 def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
     """Dispatch one check by id; see THEOREM_IDS for the valid names.  A
-    claim that takes no q ignores it."""
+    claim that takes no q ignores it.  The regime is checked once, then p's
+    context is loaded as a scan loads it and the claim's body runs on it."""
     if theorem_id not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"valid: {', '.join(THEOREM_IDS)}")
-    return _VERIFIERS[theorem_id](p, q)
+    reason = regime_q_reason(theorem_id, q)
+    if reason is not None:
+        raise RegimeError(f"{theorem_id}: {reason}")
+    reg = REGIMES[theorem_id]
+    classes, min_p = reg.p_classes(q)
+    for modulus, residue in classes:
+        if p % modulus != residue:
+            raise RegimeError(f"{theorem_id}: p={p}: need p == {residue} (mod {modulus})")
+    if p <= min_p:
+        raise RegimeError(f"{theorem_id}: p={p}: need p > {min_p}")
+    try:
+        ctx = prime_context(p)
+    except ValueError as exc:
+        raise RegimeError(f"{theorem_id}: {exc}") from None
+    load_block_tables([(ctx, [block_layout(theorem_id, q)] if reg.blocks else [])])
+    load_block_counts([(ctx, [q] if reg.counts else [])])
+    return _VERIFIERS[theorem_id](ctx, q)

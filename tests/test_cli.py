@@ -105,8 +105,8 @@ def test_scan_failure_exit_code(monkeypatch, capsys):
     import gaussprod.scan as scan_mod
     from gaussprod.verdict import Verdict
 
-    def broken(p, q=None):
-        return Verdict("t1", p, q, 1, -1, False, "injected")
+    def broken(ctx, q):
+        return Verdict("t1", ctx.p, q, 1, -1, False, "injected")
 
     monkeypatch.setitem(scan_mod._VERIFIERS, "t1", broken)
     code, out, _ = run_cli(capsys, "scan", "--p-max", "100", "--q", "3",
@@ -270,3 +270,6 @@ def test_config_validation():
         ScanConfig(p_max=100, theorems=("t1",), q_values=(4,))
     with pytest.raises(ValueError):
         ScanConfig(p_max=100, theorems=("t1",), workers=0)
+    # an empty q list would run nothing and echo like a claim without q
+    with pytest.raises(ValueError, match="q_values"):
+        ScanConfig(p_max=200, theorems=("t1",), q_values=())

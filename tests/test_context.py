@@ -1,18 +1,20 @@
 import math
+import sys
 from collections import Counter
 from itertools import accumulate
 
 import numpy as np
 import pytest
 
+import gaussprod.arith as arith
 import gaussprod.context as context
 import gaussprod.products as products
 from gaussprod.context import (PrimeContext, half_products, load_residue_indexes,
                                prime_context)
 from gaussprod.products import (block_counts, load_block_counts, load_block_tables,
                                 residue_mask)
-from gaussprod.scan import ScanConfig, run_scan
-from gaussprod.theorems import _VERIFIERS, REGIMES, THEOREM_IDS
+from gaussprod.scan import ScanConfig, _resolved_q, run_scan
+from gaussprod.theorems import _VERIFIERS, REGIMES, THEOREM_IDS, verify
 
 from oracles import (naive_block_counts, naive_is_prime, naive_legendre,
                      naive_partial_products)
@@ -400,10 +402,10 @@ def record_verifier_calls(monkeypatch) -> list:
     def outside(tid):
         verify = _VERIFIERS[tid]
 
-        def wrapped(p, q):
-            inside.append((tid, p, q))
+        def wrapped(ctx, q):
+            inside.append((tid, ctx.p, q))
             try:
-                return verify(p, q)
+                return verify(ctx, q)
             finally:
                 inside.pop()
         return wrapped
@@ -460,3 +462,48 @@ def test_scan_builds_residue_indexes_in_batches(monkeypatch, empty_slot):
     rows = sorted(p for primes in builds for p in primes)
     assert len(builds) < len(counted)
     assert rows == sorted(counted)
+
+
+def test_scan_and_verify_call_budget(monkeypatch, empty_slot):
+    # every body and every binding of is_prime counted, as the benchmark's
+    # tracer wraps them: the scan runs each body once per verdict and tests
+    # each prime p once (its context) and each q once per theorem (the
+    # regime) and once more (ScanConfig's check of an explicit q list);
+    # a public verify runs its body once and tests at most q and p
+    bodies = Counter()
+
+    def counting(tid):
+        body = _VERIFIERS[tid]
+
+        def counted(ctx, q):
+            bodies[tid] += 1
+            return body(ctx, q)
+        return counted
+
+    for tid in THEOREM_IDS:
+        monkeypatch.setitem(_VERIFIERS, tid, counting(tid))
+    tested = []
+    is_prime = arith.is_prime
+
+    def testing(n):
+        tested.append(n)
+        return is_prime(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gaussprod" or name.startswith("gaussprod."):
+            for key, value in list(vars(module).items()):
+                if value is is_prime:
+                    monkeypatch.setattr(module, key, testing)
+    config = ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1)
+    report = run_scan(config)
+    assert dict(bodies) == {tid: t["applicable"] for tid, t in report.totals.items()}
+    qs = _resolved_q(config, "t1")
+    primes = {v.p for v in report.verdicts}
+    assert len(tested) <= len(primes) + len(THEOREM_IDS) * len(qs) + len(qs)
+    for tid in THEOREM_IDS:
+        row = next(v for v in report.verdicts if v.theorem_id == tid)
+        bodies.clear()
+        tested.clear()
+        assert verify(tid, row.p, row.q) == row
+        assert dict(bodies) == {tid: 1}, tid
+        assert len(tested) <= 2, (tid, tested)

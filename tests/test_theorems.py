@@ -8,7 +8,7 @@ from gaussprod import (CongruenceConstraint, RegimeError, THEOREM_IDS,
                        verify_eq2_parity, verify_eq_a, verify_mordell,
                        verify_symmetry, verify_theorem1, verify_theorem2,
                        verify_theorem3, verify_theorem4)
-from gaussprod.scan import ScanConfig, _build_units
+from gaussprod.scan import ScanConfig, _build_units, run_scan
 from gaussprod.theorems import REGIMES
 from gaussprod.verdict import _exact
 
@@ -228,6 +228,16 @@ def test_scan_enumeration_matches_verifier_regimes():
                 else:
                     assert (p, q) in domain, (tid, p, q)
                     assert v.theorem_id == tid and v.p == p
+
+
+def test_scan_rows_equal_single_queries():
+    # every theorem over the default q list at p < 1e4: the scan runs the
+    # bodies on its batches' contexts, verify on a one-row load of its own,
+    # and the two give the same Verdict field by field, detail included
+    report = run_scan(ScanConfig(p_max=10_000, theorems=THEOREM_IDS))
+    assert {v.theorem_id for v in report.verdicts} == set(THEOREM_IDS)
+    for v in report.verdicts:
+        assert verify(v.theorem_id, v.p, v.q) == v, v
 
 
 def test_verdict_pass_flag_is_equality():
