@@ -1,4 +1,9 @@
-"""Modular arithmetic primitives: primality, residue symbols, and prime generation."""
+"""Modular arithmetic primitives: primality, residue symbols, and prime generation.
+
+Every list of primes comes from one sieve of Eratosthenes in segments of
+_SEGMENT numbers, at every limit; congruence constraints are masks on its
+output.  is_prime checks single inputs.
+"""
 
 from __future__ import annotations
 
@@ -15,9 +20,8 @@ __all__ = [
     "sieve_primes",
 ]
 
-# Below this bound primes are enumerated with a sieve; above it by stepping
-# through the CRT-merged residue class and primality-testing each candidate.
-SIEVE_LIMIT = 1 << 20
+# numbers per sieve segment: a 1 MiB mark array
+_SEGMENT = 1 << 20
 
 # Witness set proving primality for every n < 3.317e24, hence all 64-bit inputs.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -81,31 +85,27 @@ class CongruenceConstraint:
                 f"residue must lie in [0, {self.modulus}), got {self.residue}")
 
 
-def _crt_merge(constraints) -> tuple[int, int] | None:
-    """Fold constraints to one class (residue, modulus); None if contradictory."""
-    r, m = 0, 1
-    for c in constraints:
-        g = math.gcd(m, c.modulus)
-        if (c.residue - r) % g:
-            return None
-        step = c.modulus // g
-        t = (c.residue - r) // g * pow(m // g, -1, step) % step
-        r += m * t
-        m = m // g * c.modulus
-        r %= m
-    return r, m
-
-
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes < limit, ascending, as int64."""
+    """All primes < limit, ascending, as int64.
+
+    Each segment of _SEGMENT numbers is crossed off by the primes up to
+    sqrt(limit), which come from this function at that smaller limit.
+    """
     if limit <= 2:
         return np.empty(0, dtype=np.int64)
-    comp = np.zeros(limit, dtype=bool)
-    comp[:2] = True
-    for i in range(2, math.isqrt(limit - 1) + 1):
-        if not comp[i]:
-            comp[i * i:: i] = True
-    return np.nonzero(~comp)[0].astype(np.int64)
+    small = sieve_primes(math.isqrt(limit - 1) + 1).tolist()
+    out = []
+    for lo in range(0, limit, _SEGMENT):
+        hi = min(lo + _SEGMENT, limit)
+        comp = np.zeros(hi - lo, dtype=bool)
+        if lo == 0:
+            comp[:2] = True
+        for p in small:
+            if p * p >= hi:
+                break
+            comp[max(p * p, -(-lo // p) * p) - lo:: p] = True
+        out.append(np.flatnonzero(~comp) + lo)
+    return np.concatenate(out).astype(np.int64, copy=False)
 
 
 def primes_matching(limit: int, constraints=()) -> list[int]:
@@ -116,18 +116,7 @@ def primes_matching(limit: int, constraints=()) -> list[int]:
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    merged = _crt_merge(constraints)
-    if merged is None:
-        return []
-    r, m = merged
-    head = min(limit, SIEVE_LIMIT)
-    ps = sieve_primes(head)
-    if m > 1:
-        ps = ps[ps % m == r]
-    out = [int(p) for p in ps]
-    if limit > SIEVE_LIMIT:
-        start = SIEVE_LIMIT + (r - SIEVE_LIMIT) % m
-        for n in range(start, limit, m):
-            if is_prime(n):
-                out.append(n)
-    return out
+    ps = sieve_primes(limit)
+    for c in constraints:
+        ps = ps[ps % c.modulus == c.residue]
+    return ps.tolist()

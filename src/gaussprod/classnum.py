@@ -143,6 +143,8 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
 
 # (b, A) pairs per divisibility mask of class_number_forms
 _FORMS_BLOCK = 1 << 16
+# class_number_forms keeps m = (b^2 + p)/4 <= p/3 in int32
+_FORMS_LIMIT = 3 << 31
 
 
 @cache
@@ -159,8 +161,11 @@ def class_number_forms(p: int) -> ClassNumberResult:
     odd b meet every A from the block's first b up to sqrt(m) of its last b,
     about _FORMS_BLOCK pairs at a time: one int32 divisibility mask per
     block, and the tests for a reduced form on its few hits only.  Memory
-    stays O(_FORMS_BLOCK + sqrt(p)).
+    stays O(_FORMS_BLOCK + sqrt(p)).  p must lie below 3*2**31, where m
+    still fits.
     """
+    if p >= _FORMS_LIMIT:
+        raise ValueError(f"p must be below 3*2**31 = {_FORMS_LIMIT}, got {p}")
     if p % 4 != 3 or not is_prime(p):
         raise ValueError(f"need a prime p == 3 (mod 4), got {p}")
     # A <= C and |B| <= A give p = 4AC - B**2 >= 3A**2

@@ -26,8 +26,7 @@ import numpy as np
 from .arith import is_prime, primes_matching
 from . import context
 from .context import P_LIMIT
-from .products import load_block_counts, load_block_tables
-from .theorems import REGIMES, THEOREM_IDS, _VERIFIERS, block_layout, regime_q_reason
+from .theorems import REGIMES, THEOREM_IDS, _VERIFIERS, _load_work, regime_q_reason
 from .verdict import Verdict
 
 __all__ = [
@@ -123,15 +122,9 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     out = []
     for batch in _batches(unit):
         # looked up on the module, as prime_context does, so a replaced class takes effect
-        contexts = [context.PrimeContext(p) for p, _ in batch]
-        layouts = [[block_layout(tid, q) for tid, q in work] for _, work in batch]
-        load_block_tables([(ctx, [n for n in sizes if n is not None])
-                           for ctx, sizes in zip(contexts, layouts)])
-        # before any verifier runs, so that h(-p) is read from the residue
-        # index instead of streamed at a prime that builds it anyway
-        load_block_counts([(ctx, [q for tid, q in work if REGIMES[tid].counts])
-                           for ctx, (_, work) in zip(contexts, batch)])
-        for ctx, (_, work) in zip(contexts, batch):
+        rows = [(context.PrimeContext(p), work) for p, work in batch]
+        _load_work(rows)
+        for ctx, work in rows:
             for tid, q in work:
                 # looked up per call, so a replaced verifier takes effect at once
                 out.append(_VERIFIERS[tid](ctx, q))

@@ -25,7 +25,6 @@ __all__ = [
     "REGIMES",
     "THEOREM_IDS",
     "Regime",
-    "block_layout",
     "regime_q_reason",
     "verify",
     "verify_corollary",
@@ -99,13 +98,22 @@ def regime_q_reason(theorem_id: str, q: int | None) -> str | None:
     return None
 
 
-def block_layout(theorem_id: str, q: int | None) -> int | None:
-    """The number n of blocks whose table a verifier reads at (p, q), if
-    any, so that a scan can load every table of one prime in one query."""
-    reg = REGIMES[theorem_id]
-    if not reg.blocks:
-        return None
-    return 2 if reg.p_mod_q is None else q
+def _block_layout(theorem_id: str, q: int | None) -> int:
+    """The number n of blocks whose table a claim with Regime.blocks reads
+    at (p, q)."""
+    return 2 if REGIMES[theorem_id].p_mod_q is None else q
+
+
+def _load_work(batch) -> None:
+    """Load what the bodies of a batch of (ctx, ((theorem_id, q), ...))
+    pairs read: every block table of the batch in one query, then every
+    block count in another.  Called before any body runs, so that h(-p) is
+    read from the residue index instead of streamed at a prime whose counts
+    build it anyway."""
+    load_block_tables([(ctx, [_block_layout(tid, q) for tid, q in work if REGIMES[tid].blocks])
+                       for ctx, work in batch])
+    load_block_counts([(ctx, [q for tid, q in work if REGIMES[tid].counts])
+                       for ctx, work in batch])
 
 
 def _selected_product(ctx: PrimeContext, q: int) -> int:
@@ -331,8 +339,7 @@ def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
     reason = regime_q_reason(theorem_id, q)
     if reason is not None:
         raise RegimeError(f"{theorem_id}: {reason}")
-    reg = REGIMES[theorem_id]
-    classes, min_p = reg.p_classes(q)
+    classes, min_p = REGIMES[theorem_id].p_classes(q)
     for modulus, residue in classes:
         if p % modulus != residue:
             raise RegimeError(f"{theorem_id}: p={p}: need p == {residue} (mod {modulus})")
@@ -342,6 +349,5 @@ def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
         ctx = prime_context(p)
     except ValueError as exc:
         raise RegimeError(f"{theorem_id}: {exc}") from None
-    load_block_tables([(ctx, [block_layout(theorem_id, q)] if reg.blocks else [])])
-    load_block_counts([(ctx, [q] if reg.counts else [])])
+    _load_work([(ctx, [(theorem_id, q)])])
     return _VERIFIERS[theorem_id](ctx, q)

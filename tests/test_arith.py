@@ -1,7 +1,7 @@
 import pytest
 
 from gaussprod import CongruenceConstraint, is_prime, legendre, primes_matching
-from gaussprod.arith import SIEVE_LIMIT, sieve_primes
+from gaussprod.arith import _SEGMENT, sieve_primes
 
 from oracles import naive_is_prime, naive_legendre
 
@@ -36,9 +36,10 @@ def test_legendre_rejects_non_prime_modulus():
 
 
 def test_sieve_matches_trial_division():
-    got = list(sieve_primes(500))
-    want = [n for n in range(500) if naive_is_prime(n)]
-    assert got == want
+    for limit in (0, 1, 2, 3, 4, 500):
+        got = list(sieve_primes(limit))
+        want = [n for n in range(limit) if naive_is_prime(n)]
+        assert got == want, limit
 
 
 def test_congruence_constraint_validation():
@@ -67,15 +68,25 @@ def test_primes_matching_contradiction_is_empty():
     assert primes_matching(10**4, cons) == []
 
 
-def test_primes_matching_crosses_sieve_boundary():
-    # the sieve ends at SIEVE_LIMIT; above it the CRT-merged class is stepped
-    cons = [CongruenceConstraint(4, 3), CongruenceConstraint(3, 1)]
-    lo, hi = SIEVE_LIMIT - 3000, SIEVE_LIMIT + 3000
-    got = [n for n in primes_matching(hi, cons) if n >= lo]
-    want = [n for n in range(lo, hi) if n % 12 == 7 and naive_is_prime(n)]
-    assert any(n < SIEVE_LIMIT for n in want)
-    assert any(n > SIEVE_LIMIT for n in want)
-    assert got == want
+@pytest.mark.parametrize("limit", [_SEGMENT - 1, _SEGMENT, _SEGMENT + 1,
+                                   2 * _SEGMENT + 17, 2 * _SEGMENT + 1500])
+def test_primes_matching_across_segment_edges(limit):
+    # the 3000 numbers below each limit, at and across the sieve's segment
+    # edges; the last window crosses the edge of the second segment
+    lo = limit - 3000
+    window = [n for n in range(lo, limit) if naive_is_prime(n)]
+
+    def tail(cons):
+        return [n for n in primes_matching(limit, cons) if n >= lo]
+
+    assert tail([]) == window
+    assert tail([CongruenceConstraint(4, 3), CongruenceConstraint(3, 1)]) == [
+        n for n in window if n % 12 == 7]
+    assert primes_matching(limit, [CongruenceConstraint(6, 1), CongruenceConstraint(4, 0)]) == []
+    # a modulus above the limit keeps at most its residue
+    top = window[-1]
+    assert primes_matching(limit, [CongruenceConstraint(1 << 22, top)]) == [top]
+    assert primes_matching(limit, [CongruenceConstraint(1 << 22, top + 1)]) == []
 
 
 def test_primes_matching_empty_range():

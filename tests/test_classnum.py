@@ -198,6 +198,10 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         class_number_dirichlet(3)   # below the documented minimum
     assert class_number_forms(3).h == 1  # forms route admits 3 on purpose
+    # m = (b*b + p)/4 <= p/3 is int32; it wrapped at the two primes
+    for p in (3 << 31, 7_000_000_103, 14_000_000_159):
+        with pytest.raises(ValueError, match="3\\*2\\*\\*31"):
+            class_number_forms(p)
     with pytest.raises(ValueError):
         class_number_lemma1(23, 23)
     with pytest.raises(ValueError):
