@@ -23,8 +23,11 @@ __all__ = [
 # numbers per sieve segment: a 1 MiB mark array
 _SEGMENT = 1 << 20
 
-# Witness set proving primality for every n < 3.317e24, hence all 64-bit inputs.
+# Witness set proving primality for every n < 3.317e24, hence all 64-bit inputs;
+# its first four, 2, 3, 5 and 7, prove it below _SMALL_WITNESS_LIMIT
+# (Pomerance, Selfridge and Wagstaff, 1980): every p < 2**31 and every q.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_WITNESS_LIMIT = 3_215_031_751
 
 _TRIAL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -41,7 +44,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _SMALL_WITNESS_LIMIT else _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -118,5 +121,9 @@ def primes_matching(limit: int, constraints=()) -> list[int]:
         raise ValueError(f"limit must be >= 0, got {limit}")
     ps = sieve_primes(limit)
     for c in constraints:
-        ps = ps[ps % c.modulus == c.residue]
+        if c.modulus < limit:
+            ps = ps[ps % c.modulus == c.residue]
+        else:
+            # every candidate is its own residue, and int64 may not hold c
+            ps = ps[ps == c.residue] if c.residue < limit else ps[:0]
     return ps.tolist()

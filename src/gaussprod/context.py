@@ -10,8 +10,11 @@ Block products come from a product tree of the lower half 1..(p-1)/2
 batch of primes at once, one row per prime, and read by half_products: one
 vectorised gather walks it from both ends, giving x! and
 y*(y+1)*...*(p-1)/2 mod p for many (prime, x) and (prime, y); the upper
-half mirrors the lower, since j == -(p - j).  No context holds a tree: it
-lives in one kept array, rebuilt by every query.
+half mirrors the lower, since j == -(p - j).  Its lowest stored level is
+the four-leaf nodes (x+1)(x+2)(x+3)(x+4) = (x*x + 5x + 5)**2 - 1, x = 4i,
+two reductions each; the gather computes leaves and pairs, so a one-row
+tree is about 2p bytes.  No context holds a tree: it lives in one kept
+array, rebuilt by every query.
 
 The residue index is a bitmap of the nonzero squares mod p, 64 to a word,
 with a rank directory of the set bits before each word: p/4 bytes kept, a
@@ -34,6 +37,8 @@ public single queries; a scan hands its contexts to the verifiers instead.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -117,59 +122,79 @@ def _reduce(a: np.ndarray, p: int) -> np.ndarray:
     return a
 
 
+def _mod(a: np.ndarray, p) -> np.ndarray:
+    """a %= p in place, returned: by _reduce for one prime p, a being its one
+    contiguous row (1-D or 1 x n); by one remainder against p, a column of
+    one prime per row, otherwise."""
+    if isinstance(p, np.ndarray):
+        return np.remainder(a, p, out=a)
+    _reduce(a.reshape(-1), p)
+    return a
+
+
+def _four_leaves(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """(x+1)(x+2)(x+3)(x+4) mod p elementwise for int64 0 <= x < 2**30,
+    as y*y - 1 with y = x*x + 5x + 5: two reductions for four leaves.
+    x < 2**30 gives y < 2**61, and y mod p < 2**31 gives y*y < 2**62; when
+    y == 0 (mod p), y*y - 1 = -1, which the floor division of either
+    reduction maps to p - 1.  p is as for _mod; out, if given, has x's
+    shape for one prime and (rows, x.size) for a column of primes."""
+    out = np.add(x, 5, out=out)
+    out *= x
+    out += 5
+    _mod(out, p)
+    out *= out
+    out -= 1
+    return _mod(out, p)
+
+
 def _half_tree(primes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(flat, offset, width): the product trees of the lower halves 1..h,
     h = (p-1)/2, of a batch of primes, one row per prime, in _tree_store.
 
-    Level k >= 1 is a (rows, width[k]) array from flat[offset[k]]; row r
+    Level k >= 2 is a (rows, width[k]) array from flat[offset[k]]; row r
     holds the products mod p_r of aligned runs of 2**k leaves of the widest
-    row's tree, leaves past the row's own h being 1.  A level of odd length
-    is stored with a trailing column of ones, which pairs with its last
-    node on the level above; the top level is one node and its 1, so flat
-    ends with a 1.  Leaf x is x, so level 0 is not stored: offset[0] and
-    width[0] are 0.  Both are columns, for the gather of half_products.  A
-    one-row batch reduces by _reduce, scalar p; a batch of several by one
-    remainder per level against the column of its primes."""
+    row's tree, leaves past the row's own h being 1.  The lowest stored
+    level is level 2, node i the four leaves (x+1)(x+2)(x+3)(x+4), x = 4i,
+    from _four_leaves; a row whose h is not a multiple of 4 ends on a node
+    of its last 1-3 leaves.  Leaves and pairs are not stored: offset and
+    width are 0 at levels 0 and 1, and half_products computes them.  A
+    level of odd length is stored with a trailing column of ones, which
+    pairs with its last node on the level above; the top level is one node
+    and its 1, so flat ends with a 1.  Offset and width are columns, for
+    the gather of half_products.  A one-row batch, about 2p bytes, reduces
+    by _reduce, scalar p; a batch of several by one remainder per level
+    against the column of its primes."""
     global _tree_store
     rows = len(primes)
-    size = [(max(primes) + 1) // 4]  # ceil(h / 2) for the widest row
+    size = [(max(primes) + 5) // 8]  # ceil(h / 4) for the widest row
     while size[-1] > 1:
         size.append((size[-1] + 1) // 2)
-    width = [0] + [n + (n & 1) for n in size]
+    width = [0, 0] + [n + (n & 1) for n in size]
     offset = [0]
-    for w in width[1:]:
+    for w in width[2:]:
         offset.append(offset[-1] + rows * w)
     if _tree_store.size < offset[-1]:
         _tree_store = np.empty(1 << (offset[-1] - 1).bit_length(), dtype=np.int64)
     flat = _tree_store[:offset[-1]]
     levels = [flat[a:b].reshape(rows, -1) for a, b in zip(offset, offset[1:])]
-    column = np.array(primes)[:, None]
+    # one row reduces by _reduce, about twice as fast as a remainder by a column
+    modulus = primes[0] if rows == 1 else np.array(primes)[:, None]
 
-    def reduce(level):
-        # one row by _reduce, about twice as fast as a remainder by a column
-        if rows == 1:
-            _reduce(level[0], primes[0])
-        else:
-            np.remainder(level, column, out=level)
-
-    flat[[a + r * w + n for a, w, n in zip(offset, width[1:], size) if n & 1
+    flat[[a + r * w + n for a, w, n in zip(offset, width[2:], size) if n & 1
           for r in range(rows)]] = 1
     n = size[0]
-    level = levels[0][:, :n]
-    odd = np.arange(1, 2 * n, 2)
-    np.add(odd, 1, out=level)
-    level *= odd
-    del odd
+    level = _four_leaves(np.arange(0, 4 * n, 4), modulus, levels[0][:, :n])
     if rows > 1:
-        # a row of h leaves has ceil(h/2) = (p+1)//4 nodes here
-        level[np.arange(n) >= (column + 1) // 4] = 1
-    # a row of odd h ends on leaf h, paired with a 1
-    odd_rows = [(r, p) for r, p in enumerate(primes) if p & 2]
-    level[[r for r, _ in odd_rows], [p // 4 for _, p in odd_rows]] = [p // 2 for _, p in odd_rows]
-    reduce(level)
+        # a row of h leaves has ceil(h/4) = (p+5)//8 nodes here
+        level[np.arange(n) >= (modulus + 5) // 8] = 1
+    # node p//8 of a row of h = p//2 leaves, h not a multiple of 4
+    ends = [(r, p) for r, p in enumerate(primes) if p % 8 != 1]
+    level[[r for r, _ in ends], [p // 8 for _, p in ends]] = [
+        math.prod(range(p // 8 * 4 + 1, p // 2 + 1)) % p for _, p in ends]
     for below, above, n in zip(levels, levels[1:], size[1:]):
-        reduce(np.multiply(below[:, 0::2], below[:, 1::2], out=above[:, :n]))
-    return flat, np.array([0] + offset[:-1])[:, None], np.array(width)[:, None]
+        _mod(np.multiply(below[:, 0::2], below[:, 1::2], out=above[:, :n]), modulus)
+    return flat, np.array([0, 0] + offset[:-1])[:, None], np.array(width)[:, None]
 
 
 def half_products(primes: list[int], x_row, x, y_row, y) -> tuple[np.ndarray, np.ndarray]:
@@ -182,22 +207,29 @@ def half_products(primes: list[int], x_row, x, y_row, y) -> tuple[np.ndarray, np
     (x >> k) << k when x >> k is odd.  S with l = y - 1 leaves skipped
     takes node ceil(l / 2**k) when that node is odd; past a row's last node
     on a level it takes the padding 1.  S(1) is h!, the root, so P(h).
+    Levels 0 and 1 are not stored: leaf x is x, and pair j is
+    (2j+1)(2j+2), a leaf past the row's h being 1, since S can reach past h.
     """
     flat, offset, width = _half_tree(primes)
     p = np.array(primes)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     rows = np.concatenate((x_row, y_row), dtype=np.int64, casting="unsafe")
+    modulus = p[rows]
+    h = modulus // 2
     # rows of x, and of -l for S: floor(-l / 2**k) = -ceil(l / 2**k)
-    a = np.concatenate((x, np.where(y > 1, 1 - y, (p[rows[x.size:]] - 1) // 2)))
+    a = np.concatenate((x, np.where(y > 1, 1 - y, h[x.size:])))
     a = a >> np.arange(offset.size)[:, None]
     node = np.abs(a - (a > 0))
     # two in-place adds, which make one (levels, points) temporary fewer
     node += offset
     node += rows * width
-    out = flat[np.where(a & 1, node, -1)]
+    out = np.empty_like(a)
+    out[2:] = flat[np.where(a[2:] & 1, node[2:], -1)]
     out[0] = np.where(a[0] & 1, node[0] + 1, 1)
-    modulus = p[rows]
+    leaf = 2 * node[1] + 1
+    pair = np.where(leaf <= h, leaf, 1) * np.where(leaf < h, leaf + 1, 1)
+    out[1] = np.where(a[1] & 1, pair % modulus, 1)
     w = out.shape[0]
     while w > 1:
         # fold the last half of the rows onto the first

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from gaussprod import CongruenceConstraint, is_prime, legendre, primes_matching
@@ -16,11 +17,25 @@ def test_is_prime_against_trial_division():
 @pytest.mark.parametrize("n,expect", [
     (561, False),            # Carmichael
     (2**61 - 1, True),       # Mersenne
+    (1373653, False),        # strong pseudoprime to bases 2,3
+    (25326001, False),       # strong pseudoprime to bases 2,3,5
     (3215031751, False),     # strong pseudoprime to bases 2,3,5,7
     (10**18 + 9, True),
 ])
 def test_is_prime_known_hard_cases(n, expect):
     assert is_prime(n) is expect
+
+
+def test_is_prime_either_side_of_the_four_witness_bound():
+    # bases 2, 3, 5, 7 decide below 3215031751 and all twelve at and above
+    # it; a composite within 1000 of it has a prime factor below 56700,
+    # since 56701**2 < 3215031751 - 1000 and 56701 divides none of them
+    ns = np.arange(3215031751 - 1000, 3215031751 + 1001)
+    composite = np.zeros(ns.size, dtype=bool)
+    for p in (p for p in range(2, 56700) if naive_is_prime(p)):
+        composite |= ns % p == 0
+    assert [is_prime(n) for n in ns.tolist()] == (~composite).tolist()
+    assert composite.sum() > 1800
 
 
 def test_legendre_matches_square_sets():
@@ -61,6 +76,13 @@ def test_primes_matching_brute_force_equivalence():
     want = [n for n in range(2, 3000)
             if naive_is_prime(n) and n % 4 == 3 and n % 7 == 1]
     assert got == want
+
+
+def test_primes_matching_with_a_modulus_past_int64():
+    # every candidate is its own residue: the residue itself, if prime and
+    # below the limit, or nothing
+    assert primes_matching(100, [CongruenceConstraint(1 << 70, 5)]) == [5]
+    assert primes_matching(100, [CongruenceConstraint(1 << 70, 2**64 + 3)]) == []
 
 
 def test_primes_matching_contradiction_is_empty():

@@ -157,6 +157,11 @@ def test_walks_match_running_products():
     f, s = half_products(ODD_PRIMES_600, x_rows, xs, y_rows, ys)
     assert f.tolist() == prefixes
     assert s.tolist() == suffixes
+    # the walks read every four-leaf node, among them the full nodes whose
+    # y = x*x + 5x + 5 is 0 mod p, where y*y - 1 = -1 before its reduction
+    zero_y = [(p, x) for p in ODD_PRIMES_600 for x in range(0, (p - 1) // 2 - 3, 4)
+              if (x * x + 5 * x + 5) % p == 0]
+    assert len(zero_y) == 7
 
 
 MID_P = 999983
@@ -242,17 +247,35 @@ def test_kernels_at_a_mid_size_prime(empty_slot):
         assert list(load_block_tables([(ctx, [n])])[0][0].values) == want, n
 
 
-def test_tree_stores_no_leaves():
-    # h = (p-1)/2 leaves have h - 1 inner nodes; a level of odd length is
-    # stored with a trailing 1, and its last node is carried up unpaired
+def test_four_leaves_at_the_largest_prime():
+    # the lowest stored level's kernel at p = 2**31 - 1, without its tree:
+    # x = 0, 4, ... and the last multiple of 4 below h = 2**30 - 1, where
+    # y = x*x + 5x + 5 nears 2**60 and (y mod p)**2 nears 2**62
+    p = 2**31 - 1
+    h = (p - 1) // 2
+    xs = list(range(0, 4000, 4)) + [h - h % 4 - 4, h - h % 4]
+    got = context._four_leaves(np.array(xs), p)
+    assert got.tolist() == [(x + 1) * (x + 2) * (x + 3) * (x + 4) % p for x in xs]
+    # and against a column of primes, one row each
+    column = np.array([[p], [MID_P], [7]])
+    rows = context._four_leaves(np.array(xs), column, np.empty((3, len(xs)), dtype=np.int64))
+    assert rows.tolist() == [[(x + 1) * (x + 2) * (x + 3) * (x + 4) % q for x in xs]
+                             for q in (p, MID_P, 7)]
+
+
+def test_tree_stores_no_leaves_and_no_pairs():
+    # h = (p-1)/2 leaves; the lowest stored level has ceil(h/4) four-leaf
+    # nodes, and a level of odd length is stored with a trailing 1, its
+    # last node carried up unpaired
     h = (MID_P - 1) // 2
     flat, offset, width = context._half_tree([MID_P])
     levels = offset.size - 1
-    first = (h + 1) // 2  # the length of level 1, then its padding
-    assert offset[:3, 0].tolist() == [0, 0, first + first % 2]
-    assert width[1, 0] == first + first % 2
+    first = -(-h // 4)  # the length of level 2, then its padding
+    assert offset[:4, 0].tolist() == [0, 0, 0, first + first % 2]
+    assert width[:3, 0].tolist() == [0, 0, first + first % 2]
     assert flat[-1] == 1
-    assert flat.nbytes <= 8 * (h + levels)
+    assert flat.nbytes <= 8 * (h / 2 + levels)
+    assert flat.nbytes <= 2 * MID_P + 1024
     # a batch stores rows times each level of the widest row's tree
     flat, offset, width = context._half_tree([7, 97, MID_P])
     assert flat.size == 3 * width.sum()

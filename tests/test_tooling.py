@@ -1,12 +1,15 @@
 """Names that other code or the docs look up by string must exist: the
 benchmark tracer's targets, every public name a module exports, and the
 dotted names README.md quotes.  A deletion that leaves one behind must fail
-here, not at benchmark time, on import * or in a reader's hands."""
+here, not at benchmark time, on import * or in a reader's hands.  So must a
+change that moves a digest the benchmark's correctness gate checks."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
+import time
 from pathlib import Path
 
 import gaussprod
@@ -14,18 +17,18 @@ from gaussprod import selftest, theorems
 from gaussprod.context import PrimeContext
 
 ROOT = Path(__file__).resolve().parents[1]
-TRACER = ROOT / "perfbench" / "tracer.py"
+PERFBENCH = ROOT / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_targets_exist():
-    tracer = _load_tracer()
+    tracer = _load_perfbench("tracer")
     missing = [(short, attr)
                for targets in tracer.LAYERS.values()
                for short, attr in targets
@@ -33,6 +36,18 @@ def test_tracer_targets_exist():
                                        attr, None))]
     assert missing == []
     assert set(tracer.THEOREM_IDS) == set(theorems._VERIFIERS)
+
+
+def test_benchmark_correctness_gate_passes():
+    # one untraced sample of each workload, in a fresh interpreter as the
+    # benchmark runs it, checked against the recorded digests and totals
+    run = _load_perfbench("run")
+    expected = json.loads(run.EXPECTED_PATH.read_text(encoding="utf-8"))
+    for workload, workers in (("sweep", None), ("representation", 1),
+                              ("point_queries", None)):
+        spec = run.make_spec(workload, 0, False, workers)
+        res = run.run_sample(spec, time.monotonic())
+        assert run.check_sample(workload, 0, res, expected) == [], workload
 
 
 def test_public_names_resolve():
