@@ -14,7 +14,6 @@ from .classnum import (ClassNumberResult, Representation, SquareSubgroupData,
                        hahn_lee_representation, square_subgroup)
 from .errors import InternalCheckError, RegimeError
 from .products import (BlockCounts, PartialProductTable, block_counts,
-                       block_ranges, enlarged_block_index,
                        generalized_partial_products, partial_products,
                        residue_cumulative_counts, residue_mask,
                        selected_block_indices, theorem1_product)
@@ -44,11 +43,9 @@ __all__ = [
     "Verdict",
     "beta_identity_check",
     "block_counts",
-    "block_ranges",
     "class_number_dirichlet",
     "class_number_forms",
     "class_number_lemma1",
-    "enlarged_block_index",
     "generalized_partial_products",
     "hahn_lee_representation",
     "is_prime",

@@ -31,7 +31,7 @@ from functools import cache
 import numpy as np
 
 from .arith import is_prime
-from .context import P_LIMIT, PrimeContext, _square_chunks, prime_context
+from .context import P_LIMIT, PrimeContext, _square_chunks
 from .errors import InternalCheckError, RegimeError
 from .verdict import Verdict, _exact, make_verdict
 
@@ -56,10 +56,10 @@ class ClassNumberResult:
 
 
 def _discriminant_context(p: int) -> PrimeContext:
-    """The context of a prime p == 3 (mod 4), p >= 7."""
+    """A fresh context of a prime p == 3 (mod 4), p >= 7."""
     if p < 7 or p % 4 != 3:
         raise ValueError(f"need a prime p == 3 (mod 4) with p >= 7, got {p}")
-    return prime_context(p)
+    return PrimeContext(p)
 
 
 def class_number_dirichlet(p: int) -> ClassNumberResult:
@@ -321,7 +321,7 @@ def hahn_lee_representation(p: int, q: int) -> Representation:
         raise RegimeError(f"q must be a prime == 3 (mod 4), got {q}")
     if p % q != 1:
         raise RegimeError(f"p must be a prime == 1 (mod q), got p={p}, q={q}")
-    return _representation(prime_context(p), q)
+    return _representation(PrimeContext(p), q)
 
 
 def _representation(ctx: PrimeContext, q: int) -> Representation:

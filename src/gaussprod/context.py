@@ -32,8 +32,8 @@ j = 1..(p-1)/2 in chunks of 2**16, into a p-byte mark array instead of a
 (classnum) and square_floor_sum (Dirichlet's h(-p)) stream the same way in
 O(2**16) memory at every p < 2**31.
 
-prime_context(p) keeps the latest context in a single slot, for the
-public single queries; a scan hands its contexts to the verifiers instead.
+No context outlives its query: a public single query builds its own,
+loads it and drops it, and a scan hands its contexts to the verifiers.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import numpy as np
 
 from .arith import is_prime
 
-__all__ = ["P_LIMIT", "PrimeContext", "half_products", "load_residue_indexes", "prime_context"]
+__all__ = ["P_LIMIT", "PrimeContext", "half_products", "load_residue_indexes"]
 
 # int64 stays exact for products of two residues and for j*j below this bound
 P_LIMIT = 1 << 31
@@ -78,10 +78,7 @@ class PrimeContext:
     def residue_counts(self, x) -> np.ndarray:
         """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p,
         from the loaded index: x's word's rank plus its set bits up to bit x."""
-        words, rank = self.residue_index
-        x = np.asarray(x, dtype=np.int64)
-        w = x >> 6
-        return rank[w] + np.bitwise_count(words[w] << (63 - (x & 63)).astype(np.uint64))
+        return _set_bits_through(*self.residue_index, np.asarray(x, dtype=np.int64))
 
     def square_floor_sum(self) -> int:
         """The sum of floor(j*j/p) over j = 1..(p-1)/2, in chunks of 2**16
@@ -101,7 +98,14 @@ class PrimeContext:
         return -1 if t == self.p - 1 else t
 
 
-_slot: PrimeContext | None = None
+def _set_bits_through(words: np.ndarray, rank: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """rank[b >> 6] plus the set bits of words[b >> 6] up to bit b & 63,
+    elementwise for int64 flat bit positions b into 1-D words: the set bits
+    through bit b since the last word whose rank is 0."""
+    w = b >> 6
+    return rank[w] + np.bitwise_count(words[w] << (63 - (b & 63)).astype(np.uint64))
+
+
 # the quotients of _reduce, one chunk at a time, and the tree storage, kept
 # and grown to powers of two: memory made afresh per query faults in all its
 # pages anew.  A tree lives only within the half_products call that builds
@@ -295,11 +299,3 @@ def load_residue_indexes(contexts) -> tuple[np.ndarray, np.ndarray]:
     for ctx, row_words, row_rank in zip(contexts, words, rank):
         ctx.residue_index = row_words, row_rank
     return words, rank
-
-
-def prime_context(p: int) -> PrimeContext:
-    """The context of p.  One slot: asking for another prime replaces it."""
-    global _slot
-    if _slot is None or _slot.p != p:
-        _slot = PrimeContext(p)
-    return _slot

@@ -19,14 +19,12 @@ from functools import cache
 import numpy as np
 
 from .arith import is_prime
-from .context import half_products, load_residue_indexes, prime_context
+from .context import PrimeContext, _set_bits_through, half_products, load_residue_indexes
 
 __all__ = [
     "BlockCounts",
     "PartialProductTable",
     "block_counts",
-    "block_ranges",
-    "enlarged_block_index",
     "generalized_partial_products",
     "load_block_counts",
     "load_block_tables",
@@ -54,13 +52,6 @@ def _cuts(p: int, n: int) -> list[int]:
     return [k * p // n for k in range(n)] + [p - 1]
 
 
-def block_ranges(p: int, n: int, generalized: bool = False) -> tuple[tuple[int, int], ...]:
-    """Inclusive (start, end) ranges of the n blocks partitioning 1..p-1."""
-    _check_layout(p, n, generalized)
-    cuts = _cuts(p, n)
-    return tuple((lo + 1, hi) for lo, hi in zip(cuts, cuts[1:]))
-
-
 @dataclass(frozen=True)
 class PartialProductTable:
     """All n block products for one modulus, 1-indexed via block()."""
@@ -73,16 +64,6 @@ class PartialProductTable:
         if not 1 <= k <= self.n:
             raise ValueError(f"block index must lie in 1..{self.n}, got {k}")
         return self.values[k - 1]
-
-    def prefix_factorials(self) -> tuple[int, ...]:
-        """Cumulative products: entry i-1 is blocks 1..i multiplied out
-        mod p, which is c_i! mod p for the i-th cut point c_i."""
-        out = []
-        acc = 1
-        for v in self.values:
-            acc = acc * v % self.p
-            out.append(acc)
-        return tuple(out)
 
     def full_product(self) -> int:
         """Product of every block, i.e. (p-1)! mod p; equals p - 1 by Wilson."""
@@ -158,24 +139,21 @@ def _fill_tables(todo) -> None:
 def partial_products(p: int, n: int) -> PartialProductTable:
     """Block products for equal blocks of length (p-1)/n; needs n | p - 1."""
     _check_layout(p, n, False)
-    return load_block_tables([(prime_context(p), [n])])[0][0]
+    return load_block_tables([(PrimeContext(p), [n])])[0][0]
 
 
 def generalized_partial_products(p: int, q: int) -> PartialProductTable:
     """Floor-cut block products; defined for any odd primes q < p."""
     _check_layout(p, q, True)
-    return load_block_tables([(prime_context(p), [q])])[0][0]
+    return load_block_tables([(PrimeContext(p), [q])])[0][0]
 
 
 def residue_mask(p: int) -> np.ndarray:
     """Boolean array of length p: entry v is True iff v is a nonzero square
-    mod p.  Unpacked on each call from the residue index, loaded if the
-    context has none; the package counts residues without it."""
-    ctx = prime_context(p)
-    if ctx.residue_index is None:
-        load_residue_indexes([ctx])
-    words, _ = ctx.residue_index
-    return np.unpackbits(words.view(np.uint8), count=p, bitorder="little").view(bool)
+    mod p.  Unpacked from a residue index built for the call; the package
+    counts residues without it."""
+    words, _ = load_residue_indexes([PrimeContext(p)])
+    return np.unpackbits(words[0].view(np.uint8), count=p, bitorder="little").view(bool)
 
 
 def residue_cumulative_counts(p: int) -> np.ndarray:
@@ -192,29 +170,21 @@ class BlockCounts:
     residues: tuple[int, ...]
     nonresidues: tuple[int, ...]
 
-    def block_size(self, k: int) -> int:
-        return self.residues[k - 1] + self.nonresidues[k - 1]
-
 
 def load_block_counts(batch) -> list[list[BlockCounts]]:
     """For each (ctx, sizes) in batch, the residue counts of the n blocks of
     ctx.p for every n in sizes, kept in ctx.counts.
 
-    Sizes are taken as valid.  The contexts that lack an index and some
-    counts get their indexes from one batched build, and their counts from
-    one gather over it; a context that has its index already is a one-row
-    batch of its own.
+    Sizes are taken as valid.  The contexts that lack some counts get their
+    indexes from one batched build, and their counts from one gather over
+    it.
     """
     batch = [(ctx, list(sizes)) for ctx, sizes in batch]
     todo = [(ctx, [n for n in dict.fromkeys(sizes) if n not in ctx.counts])
             for ctx, sizes in batch]
     todo = [(ctx, missing) for ctx, missing in todo if missing]
-    for ctx, missing in todo:
-        if ctx.residue_index is not None:
-            _fill_counts([(ctx, missing)], *(a[None] for a in ctx.residue_index))
-    fresh = [(ctx, missing) for ctx, missing in todo if ctx.residue_index is None]
-    if fresh:
-        _fill_counts(fresh, *load_residue_indexes([ctx for ctx, _ in fresh]))
+    if todo:
+        _fill_counts(todo, *load_residue_indexes([ctx for ctx, _ in todo]))
     return [[ctx.counts[n] for n in sizes] for ctx, sizes in batch]
 
 
@@ -223,7 +193,8 @@ def _fill_counts(todo, words: np.ndarray, rank: np.ndarray) -> None:
     of the todo contexts' indexes, one row each: the cuts of every layout
     in numpy, the residues in 1..x at every cut x in one gather, as
     residue_counts takes them, then each block's residues and nonresidues
-    from differences of cuts."""
+    from differences of cuts.  A row is whole words, so x of row r is bit
+    r * 64 * words.shape[1] + x of the raveled words."""
     layouts = [(r, ctx, n) for r, (ctx, missing) in enumerate(todo) for n in missing]
     row, p, n = np.array([(r, ctx.p, n) for r, ctx, n in layouts]).T
     length = n + 1
@@ -231,9 +202,7 @@ def _fill_counts(todo, words: np.ndarray, rank: np.ndarray) -> None:
     # k runs over 0..n in each layout, and c_n = p - 1, not k*p/n = p
     k = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
     x = k * p // n - (k == n)
-    w = row * words.shape[1] + (x >> 6)
-    counts = rank.ravel()[w] + np.bitwise_count(
-        words.ravel()[w] << (63 - (x & 63)).astype(np.uint64))
+    counts = _set_bits_through(words.ravel(), rank.ravel(), row * 64 * words.shape[1] + x)
     # differences by slicing, which costs less than np.diff; the entry
     # that spans two layouts is skipped below
     residues = counts[1:] - counts[:-1]
@@ -248,7 +217,7 @@ def _fill_counts(todo, words: np.ndarray, rank: np.ndarray) -> None:
 def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:
     """Count residues/nonresidues inside each block of 1..p-1."""
     _check_layout(p, q, generalized)
-    return load_block_counts([(prime_context(p), [q])])[0][0]
+    return load_block_counts([(PrimeContext(p), [q])])[0][0]
 
 
 @cache
@@ -267,19 +236,13 @@ def theorem1_product(p: int, q: int, generalized: bool = False) -> int:
     return _product((table.values[k - 1] for k in selected_block_indices(q)), p)
 
 
-def enlarged_block_index(q: int) -> int:
-    """Lower-half index whose block is one longer when p == 3 (mod q), q > 3.
+def _enlarged_index(q: int) -> int:
+    """Lower-half index whose block is one longer when p == 3 (mod q), for
+    a prime q > 3, unchecked.
 
     Evaluates (q + 2 + ((q|3) - 1)/2) / 3.  For a prime q > 3 the numerator
     2(q + 2) + (q|3) - 1 is 2(q + 2) or 2(q + 1), so the index is always
     ceil(q/3), in 2..(q-1)/2; t4 checks it against the measured block
     sizes, so a wrong index shows as a failed verdict.
     """
-    if q <= 3 or not is_prime(q):
-        raise ValueError(f"q must be a prime > 3, got {q}")
-    return _enlarged_index(q)
-
-
-def _enlarged_index(q: int) -> int:
-    """enlarged_block_index(q) for a prime q > 3, unchecked."""
     return (2 * (q + 2) + (0, 1, -1)[q % 3] - 1) // 6

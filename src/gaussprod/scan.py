@@ -121,7 +121,7 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     """Verdicts for a unit of (p, ((theorem, q), ...)) entries."""
     out = []
     for batch in _batches(unit):
-        # looked up on the module, as prime_context does, so a replaced class takes effect
+        # looked up on the module, so a replaced class takes effect
         rows = [(context.PrimeContext(p), work) for p, work in batch]
         _load_work(rows)
         for ctx, work in rows:
@@ -244,11 +244,10 @@ def render_human(report: ScanReport) -> str:
                      f"predicted={v.predicted} computed={v.computed} [{v.detail}]")
     if len(report.failures) > 50:
         lines.append(f"... and {len(report.failures) - 50} more failures")
-    if "t1" in report.totals and not report.failures:
-        qs = report.config["q"].get("t1") or []
-        for q in qs:
-            if q in _HEADLINES:
-                lines.append(_HEADLINES[q])
+    if not report.failures:
+        # a headline only where some t1 verdict checked it
+        checked = {v.q for v in report.verdicts if v.theorem_id == "t1"}
+        lines += [_HEADLINES[q] for q in sorted(checked & _HEADLINES.keys())]
     total_fail = len(report.failures)
     verdict = "all passed" if total_fail == 0 else f"{total_fail} FAILED"
     lines.append(f"result: {verdict} ({report.runtime_ms} ms)")

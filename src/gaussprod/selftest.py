@@ -86,14 +86,6 @@ FIXTURES: list[tuple[str, str, object, object]] = [
     ("products", "generalized equals plain when p=1 mod q",
      lambda: products.generalized_partial_products(7, 3).values
      == products.partial_products(7, 3).values, True),
-    ("products", "plain ranges (11,5)",
-     lambda: products.block_ranges(11, 5),
-     ((1, 2), (3, 4), (5, 6), (7, 8), (9, 10))),
-    ("products", "generalized ranges (11,3)",
-     lambda: products.block_ranges(11, 3, generalized=True),
-     ((1, 3), (4, 7), (8, 10))),
-    ("products", "prefix factorials (7,3)",
-     lambda: products.partial_products(7, 3).prefix_factorials(), (2, 3, 6)),
     ("products", "full product is p-1 (11,5)",
      lambda: products.partial_products(11, 5).full_product(), 10),
     ("products", "counts (7,3)",
@@ -111,8 +103,9 @@ FIXTURES: list[tuple[str, str, object, object]] = [
               products.block_counts(43, 7).nonresidues),
      ((3, 3, 5, 3, 1, 3, 3), (3, 3, 1, 3, 5, 3, 3))),
     ("products", "generalized block sizes (23,5)",
-     lambda: tuple(products.block_counts(23, 5, generalized=True).block_size(k)
-                   for k in range(1, 6)), (4, 5, 4, 5, 4)),
+     lambda: tuple(map(sum, zip(products.block_counts(23, 5, generalized=True).residues,
+                               products.block_counts(23, 5, generalized=True).nonresidues))),
+     (4, 5, 4, 5, 4)),
     ("products", "selected indices q=3", lambda: products.selected_block_indices(3), (1,)),
     ("products", "selected indices q=5", lambda: products.selected_block_indices(5), (2,)),
     ("products", "selected indices q=7", lambda: products.selected_block_indices(7), (1, 3)),
@@ -126,9 +119,6 @@ FIXTURES: list[tuple[str, str, object, object]] = [
     ("products", "selected product (43,7)", lambda: products.theorem1_product(43, 7), 10),
     ("products", "selected generalized product (11,3)",
      lambda: products.theorem1_product(11, 3, generalized=True), 6),
-    ("products", "enlarged index q=5,7,11,13,97",
-     lambda: tuple(products.enlarged_block_index(q) for q in (5, 7, 11, 13, 97)),
-     (2, 3, 4, 5, 33)),
     ("products", "residue count up to (p-1)/2 at p=7",
      lambda: int(products.residue_cumulative_counts(7)[3]), 2),
     # ---- classnum ----

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .arith import is_prime
 from .classnum import _dirichlet, _representation, square_subgroup
-from .context import PrimeContext, prime_context
+from .context import PrimeContext
 from .errors import RegimeError
 from .products import (_cuts, _enlarged_index, _product, load_block_counts,
                        load_block_tables, selected_block_indices)
@@ -346,7 +346,7 @@ def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
     if p <= min_p:
         raise RegimeError(f"{theorem_id}: p={p}: need p > {min_p}")
     try:
-        ctx = prime_context(p)
+        ctx = PrimeContext(p)
     except ValueError as exc:
         raise RegimeError(f"{theorem_id}: {exc}") from None
     _load_work([(ctx, [(theorem_id, q)])])

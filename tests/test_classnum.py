@@ -13,13 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gaussprod
-import gaussprod.context as context
 from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        beta_identity_check, class_number_dirichlet,
                        class_number_forms, class_number_lemma1,
                        hahn_lee_representation, legendre, primes_matching,
                        square_subgroup)
-from gaussprod.classnum import (_FORMS_BLOCK, _hensel_lift,
+from gaussprod.classnum import (_FORMS_BLOCK, _dirichlet, _hensel_lift,
                                 _smallest_b_associate, _sqrt_mod_prime)
 from gaussprod.context import PrimeContext, load_residue_indexes
 from gaussprod.products import residue_mask
@@ -72,7 +71,7 @@ def test_lemma1_matches_naive_weighted_sum():
             assert class_number_lemma1(p, q).h == want, (p, q)
 
 
-def test_forms_matches_dirichlet_across_blocks(monkeypatch):
+def test_forms_matches_dirichlet_across_blocks():
     # from p near 4e5 the odd b <= sqrt(p/3) fill two or more blocks of
     # _FORMS_BLOCK (b, A) pairs, and the streams over j = 1..(p-1)/2 take
     # several chunks of 2**16 with a partial last one
@@ -87,14 +86,12 @@ def test_forms_matches_dirichlet_across_blocks(monkeypatch):
         h = class_number_forms(p).h
         # Dirichlet streams on a fresh context and reads a built index
         fresh = PrimeContext(p)
-        monkeypatch.setattr(context, "_slot", fresh)
-        assert class_number_dirichlet(p).h == h, p
+        assert _dirichlet(fresh).h == h, p
         assert fresh.residue_index is None, p
         built = PrimeContext(p)
         load_residue_indexes([built])
         assert int(built.residue_counts(p - 1)) == half
-        monkeypatch.setattr(context, "_slot", built)
-        assert class_number_dirichlet(p).h == h, p
+        assert _dirichlet(built).h == h, p
         for q in (3, 97, 2**31 - 1):
             assert class_number_lemma1(p, q).h == h, (p, q)
 
@@ -143,11 +140,12 @@ def test_block_counts_in_bounded_memory():
     # peaks near 1.25p, within the 1 GiB cap; Dirichlet then reads the index
     p = BOUNDED_P
     run = run_capped(
-        f"from gaussprod import *\n"
-        f"from gaussprod.context import prime_context\n"
-        f"c = block_counts({p}, 97, generalized=True)\n"
-        f"print(sum(c.residues), prime_context({p}).residue_index is not None,"
-        f" class_number_dirichlet({p}).h)")
+        f"from gaussprod.classnum import _dirichlet\n"
+        f"from gaussprod.context import PrimeContext\n"
+        f"from gaussprod.products import load_block_counts\n"
+        f"ctx = PrimeContext({p})\n"
+        f"[[c]] = load_block_counts([(ctx, [97])])\n"
+        f"print(sum(c.residues), ctx.residue_index is not None, _dirichlet(ctx).h)")
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == [str((p - 1) // 2), "True", "7545"]
 

@@ -52,6 +52,17 @@ def test_scan_human_format(capsys):
     assert "quadratic residue" in out   # q=3 headline
 
 
+def test_scan_human_states_only_checked_headlines(capsys):
+    # no prime p < 7 is in t1's regime at q = 3, so no verdict checks the
+    # q = 3 headline and the report does not state it
+    code, out, _ = run_cli(capsys, "scan", "--p-max", "7", "--theorems", "t1",
+                           "--q", "3")
+    assert code == 0
+    assert out.splitlines()[2].split()[:2] == ["t1", "0"]
+    assert "all passed" in out
+    assert "quadratic residue" not in out
+
+
 def test_scan_csv_format(capsys):
     code, out, _ = run_cli(capsys, "scan", "--p-max", "100", "--q", "3",
                            "--theorems", "t1,symmetry", "--format", "csv")

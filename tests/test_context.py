@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 from collections import Counter
@@ -9,10 +10,12 @@ import pytest
 import gaussprod.arith as arith
 import gaussprod.context as context
 import gaussprod.products as products
-from gaussprod.context import (PrimeContext, half_products, load_residue_indexes,
-                               prime_context)
-from gaussprod.products import (block_counts, load_block_counts, load_block_tables,
-                                residue_mask)
+from gaussprod import (block_counts, class_number_dirichlet, class_number_forms,
+                       class_number_lemma1, generalized_partial_products,
+                       hahn_lee_representation, partial_products,
+                       residue_cumulative_counts, residue_mask, theorem1_product)
+from gaussprod.context import PrimeContext, half_products, load_residue_indexes
+from gaussprod.products import load_block_counts, load_block_tables
 from gaussprod.scan import ScanConfig, _resolved_q, run_scan
 from gaussprod.theorems import _VERIFIERS, REGIMES, THEOREM_IDS, verify
 
@@ -20,11 +23,6 @@ from oracles import (naive_block_counts, naive_is_prime, naive_legendre,
                      naive_partial_products)
 
 ODD_PRIMES_600 = [p for p in range(3, 600) if naive_is_prime(p)]
-
-
-@pytest.fixture
-def empty_slot(monkeypatch):
-    monkeypatch.setattr(context, "_slot", None)
 
 
 def layouts_below(p):
@@ -36,7 +34,7 @@ def layouts_below(p):
     return qs, equal + [n for n in (2, (p - 1) // 2, p - 1) if n > 1]
 
 
-def test_block_tables_match_naive_products(monkeypatch, empty_slot):
+def test_block_tables_match_naive_products(monkeypatch):
     # every layout of one p from one query, as a one-row batch; then every
     # odd prime p < 600 as one batch, rows from h = 1 (p = 3) to h = 299,
     # odd and even h, the short rows padded with ones
@@ -48,9 +46,10 @@ def test_block_tables_match_naive_products(monkeypatch, empty_slot):
         qs, equal = layouts_below(p)
         want[p] = [naive_partial_products(p, q, generalized=True) for q in qs]
         want[p] += [naive_partial_products(p, n) for n in equal]
-        [tables] = load_block_tables([(prime_context(p), qs + equal)])
+        ctx = PrimeContext(p)
+        [tables] = load_block_tables([(ctx, qs + equal)])
         assert [list(t.values) for t in tables] == want[p], p
-        tables_by_n = prime_context(p).tables
+        tables_by_n = ctx.tables
         assert sorted(tables_by_n) == sorted(set(qs + equal)), p
         assert all(tables_by_n[n] is t for n, t in zip(qs + equal, tables)), p
     assert trees == [[p] for p in ODD_PRIMES_600]
@@ -71,7 +70,7 @@ def test_residue_counts_match_naive():
         assert int(ctx.residue_counts(p - 1)) == (p - 1) // 2, p
 
 
-def test_block_counts_match_naive(empty_slot):
+def test_block_counts_match_naive():
     # every odd prime q < p in the floor-cut layout, and every such q with
     # p == 1 (mod q) in the equal-block layout
     for p in ODD_PRIMES_600:
@@ -83,7 +82,7 @@ def test_block_counts_match_naive(empty_slot):
                     p, q, generalized)
 
 
-def test_block_counts_of_a_batch_match_naive(monkeypatch, empty_slot):
+def test_block_counts_of_a_batch_match_naive(monkeypatch):
     # every odd prime p < 600 as one batch: rows from h = 1 (p = 3) to 299,
     # and j up to 299 reaches multiples of the small p.  Each row is the
     # one-row build padded with zero words, and every floor-cut and equal
@@ -204,12 +203,12 @@ def test_residue_counts_at_word_boundaries():
         assert want[-1] == (p - 1) // 2, p
 
 
-def test_kernels_at_a_mid_size_prime(empty_slot):
+def test_kernels_at_a_mid_size_prime():
     # the lower tree levels and the residue index are far larger than
     # anything the tests at p < 600 reach; the references are plain Python
     # loops and a mask of the squares
     p, h = MID_P, (MID_P - 1) // 2
-    ctx = prime_context(p)
+    ctx = PrimeContext(p)
     load_residue_indexes([ctx])
     counts = residue_counts_by_mask(p)
     assert np.array_equal(ctx.residue_counts(np.arange(p)), counts)
@@ -283,7 +282,7 @@ def test_tree_stores_no_leaves_and_no_pairs():
     assert flat[-1] == 1
 
 
-def test_tree_storage_is_kept_and_never_shared(monkeypatch, empty_slot):
+def test_tree_storage_is_kept_and_never_shared(monkeypatch):
     # the storage grows to a power of two and is then reused by every batch
     # and every one-row query that fits, and no context keeps a view of it:
     # a tree lives only within the query that builds it
@@ -308,7 +307,7 @@ def test_tree_storage_is_kept_and_never_shared(monkeypatch, empty_slot):
     assert int(f[0]) == math.factorial(999) % 1999
 
 
-def test_a_fresh_context_holds_nothing(monkeypatch, empty_slot):
+def test_a_fresh_context_holds_nothing(monkeypatch):
     # every field waits for its loader: reading the residue index builds
     # nothing, and a block count query sets it
     builds = []
@@ -353,14 +352,35 @@ def test_scan_config_rejects_p_max_above_2_31():
         ScanConfig(p_max=2**31 + 1, theorems=("t1",))
 
 
-def test_slot_keeps_the_latest_context(empty_slot):
-    ctx = prime_context(43)
-    assert prime_context(43) is ctx
-    assert prime_context(47) is not ctx
-    assert prime_context(43) is not ctx
+def live_contexts() -> int:
+    gc.collect()
+    return sum(isinstance(o, PrimeContext) for o in gc.get_objects())
 
 
-def test_scan_builds_one_context_per_prime(monkeypatch, empty_slot):
+def test_no_query_leaves_a_context_behind():
+    # every public single query builds its own context and drops it, and
+    # so does a scan
+    report = run_scan(ScanConfig(p_max=200, theorems=THEOREM_IDS, q_values=(3, 7), workers=1))
+    assert live_contexts() == 0
+    for tid in THEOREM_IDS:
+        row = next(v for v in report.verdicts if v.theorem_id == tid)
+        assert verify(tid, row.p, row.q) == row
+    partial_products(43, 7)
+    generalized_partial_products(43, 5)
+    block_counts(43, 7)
+    block_counts(43, 5, generalized=True)
+    residue_mask(43)
+    residue_cumulative_counts(43)
+    theorem1_product(43, 7)
+    theorem1_product(43, 5, generalized=True)
+    class_number_dirichlet(43)
+    class_number_forms(43)
+    class_number_lemma1(43, 5)
+    hahn_lee_representation(43, 7)
+    assert live_contexts() == 0
+
+
+def test_scan_builds_one_context_per_prime(monkeypatch):
     built = Counter()
 
     class Counting(PrimeContext):
@@ -375,7 +395,7 @@ def test_scan_builds_one_context_per_prime(monkeypatch, empty_slot):
     assert set(built.values()) == {1}
 
 
-def test_scan_never_builds_a_mask(monkeypatch, empty_slot):
+def test_scan_never_builds_a_mask(monkeypatch):
     # residue counts come from the residue index; the p-sized mask and its
     # cumulative counts are public helpers only, built on demand
     def refuse(p):
@@ -393,7 +413,7 @@ def test_scan_never_builds_a_mask(monkeypatch, empty_slot):
         assert not hasattr(ctx, name), name
 
 
-def test_scan_never_streams_where_it_builds_the_squares(monkeypatch, empty_slot):
+def test_scan_never_streams_where_it_builds_the_squares(monkeypatch):
     # h(-p) streams at a prime that reads no block counts; where t4 or
     # eq2_parity reads them, the scan builds the residue index first and
     # Dirichlet reads it, whatever the order of the verifiers
@@ -438,7 +458,7 @@ def record_verifier_calls(monkeypatch) -> list:
     return inside
 
 
-def test_scan_builds_tables_in_batches(monkeypatch, empty_slot):
+def test_scan_builds_tables_in_batches(monkeypatch):
     # all nine theorems at p < 2e4: fewer trees than primes, each prime a
     # row of at most one tree, and no tree built inside a verifier
     trees = []
@@ -460,7 +480,7 @@ def test_scan_builds_tables_in_batches(monkeypatch, empty_slot):
     assert set(rows) <= primes
 
 
-def test_scan_builds_residue_indexes_in_batches(monkeypatch, empty_slot):
+def test_scan_builds_residue_indexes_in_batches(monkeypatch):
     # all nine theorems at p < 2e4: fewer index builds than primes that read
     # block counts, each such prime a row of exactly one build, and no index
     # or count built inside a verifier
@@ -487,7 +507,7 @@ def test_scan_builds_residue_indexes_in_batches(monkeypatch, empty_slot):
     assert rows == sorted(counted)
 
 
-def test_scan_and_verify_call_budget(monkeypatch, empty_slot):
+def test_scan_and_verify_call_budget(monkeypatch):
     # every body and every binding of is_prime counted, as the benchmark's
     # tracer wraps them: the scan runs each body once per verdict and tests
     # each prime p once (its context) and each q once per theorem (the

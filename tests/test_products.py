@@ -1,15 +1,16 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussprod import (block_counts, block_ranges, enlarged_block_index,
-                       generalized_partial_products, legendre,
+from gaussprod import (block_counts, generalized_partial_products, legendre,
                        partial_products, primes_matching,
                        residue_cumulative_counts, residue_mask,
                        selected_block_indices, theorem1_product,
                        CongruenceConstraint)
+from gaussprod.products import _cuts, _enlarged_index
 
 from oracles import (naive_block_counts, naive_block_ranges, naive_is_prime,
                      naive_partial_products)
@@ -32,6 +33,8 @@ def test_tables_match_naive_products():
 
 
 def test_block_ranges_cover_everything_once():
+    # the cuts of one table serve both families: in the equal-block case
+    # they are those of blocks of length (p-1)/q
     for p in SMALL_PRIMES[:30]:
         for q in (3, 5, 7, 11):
             if q >= p:
@@ -39,8 +42,9 @@ def test_block_ranges_cover_everything_once():
             for generalized in (False, True):
                 if not generalized and (p - 1) % q:
                     continue
-                rs = block_ranges(p, q, generalized)
-                assert rs == tuple(naive_block_ranges(p, q, generalized))
+                cuts = _cuts(p, q)
+                rs = [(lo + 1, hi) for lo, hi in zip(cuts, cuts[1:])]
+                assert rs == naive_block_ranges(p, q, generalized)
                 seen = [v for lo, hi in rs for v in range(lo, hi + 1)]
                 assert seen == list(range(1, p))
 
@@ -66,8 +70,6 @@ def test_input_validation():
         generalized_partial_products(11, 9)
     with pytest.raises(ValueError):
         partial_products(11, 5).block(6)
-    with pytest.raises(ValueError):
-        block_ranges(11, 4)             # would leave out 9 and 10
 
 
 def test_block_products_match_scalar_loop():
@@ -78,7 +80,7 @@ def test_block_products_match_scalar_loop():
     for p, (equal, floor_cut) in layouts.items():
         for n, generalized in [(n, False) for n in equal] + [(q, True) for q in floor_cut]:
             want = []
-            for lo, hi in block_ranges(p, n, generalized):
+            for lo, hi in naive_block_ranges(p, n, generalized):
                 scalar = 1
                 for j in range(lo, hi + 1):
                     scalar = scalar * j % p
@@ -96,7 +98,8 @@ def test_block_layouts_are_mirror_symmetric():
         layouts = [(n, False) for n in range(2, p) if (p - 1) % n == 0]
         layouts += [(q, True) for q in primes if q < p]
         for n, generalized in layouts:
-            cuts = [0] + [hi for _, hi in block_ranges(p, n, generalized)]
+            cuts = [0] + [hi for _, hi in naive_block_ranges(p, n, generalized)]
+            assert cuts == _cuts(p, n), (p, n, generalized)
             assert [p - 1 - c for c in cuts] == cuts[::-1], (p, n, generalized)
 
 
@@ -107,7 +110,7 @@ def test_prefix_factorials_are_factorials(p, data):
     n = data.draw(st.sampled_from(divisors))
     table = partial_products(p, n)
     m = (p - 1) // n
-    pref = table.prefix_factorials()
+    pref = list(accumulate(table.values, lambda a, v: a * v % p))
     for i in (1, n // 2 + 1, n):
         assert pref[i - 1] == math.factorial(i * m) % p
 
@@ -181,7 +184,7 @@ def test_selected_product_equals_prefix_factorial_product():
         if p % 4 != 3 or p > 2000:
             continue
         table = partial_products(p, q)
-        pref = table.prefix_factorials()
+        pref = list(accumulate(table.values, lambda a, v: a * v % p))
         lhs = 1
         for i in range(1, (q - 1) // 2 + 1):
             lhs = lhs * pref[i - 1] % p
@@ -196,11 +199,7 @@ def test_enlarged_block_index_formula():
     qs = primes_matching(10**4)[2:]     # every prime 5 <= q < 1e4
     assert len(qs) == 1227
     for q in qs:
-        assert enlarged_block_index(q) == -(-q // 3), q   # ceil(q/3)
-    with pytest.raises(ValueError):
-        enlarged_block_index(3)
-    with pytest.raises(ValueError):
-        enlarged_block_index(9)
+        assert _enlarged_index(q) == -(-q // 3), q   # ceil(q/3)
 
 
 def test_enlarged_blocks_match_observed_sizes():
@@ -211,12 +210,7 @@ def test_enlarged_blocks_match_observed_sizes():
     assert pairs
     for p, q in pairs:
         counts = block_counts(p, q, generalized=True)
-        kstar = enlarged_block_index(q)
+        kstar = _enlarged_index(q)
         base = (p - 3) // q
-        for k in range(1, q + 1):
-            want = base + (1 if k in (kstar, q + 1 - kstar) else 0)
-            assert counts.block_size(k) == want, (p, q, k)
-
-
-def test_table_is_cached():
-    assert partial_products(43, 7) is partial_products(43, 7)
+        sizes = [r + n for r, n in zip(counts.residues, counts.nonresidues)]
+        assert sizes == [base + (k in (kstar, q + 1 - kstar)) for k in range(1, q + 1)], (p, q)
