@@ -18,7 +18,7 @@ from .products import (BlockCounts, PartialProductTable, block_counts,
                        residue_cumulative_counts, residue_mask,
                        selected_block_indices, theorem1_product)
 from .scan import (DEFAULT_Q_MAX, ScanConfig, ScanReport, render_csv,
-                   render_human, render_json, run_scan)
+                   render_human, render_json, run_scan, stream_report)
 from .theorems import (THEOREM_IDS, regime_q_reason, verify, verify_corollary,
                        verify_eq2_parity, verify_eq_a, verify_mordell,
                        verify_symmetry, verify_theorem1, verify_theorem2,
@@ -61,6 +61,7 @@ __all__ = [
     "run_scan",
     "selected_block_indices",
     "square_subgroup",
+    "stream_report",
     "theorem1_product",
     "verify",
     "verify_corollary",

@@ -8,8 +8,10 @@ Exit codes: 0 everything passed, 1 at least one theorem check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import time
 
 from .arith import primes_matching
 from .classnum import (class_number_dirichlet, class_number_forms,
@@ -17,7 +19,7 @@ from .classnum import (class_number_dirichlet, class_number_forms,
                        square_subgroup)
 from .errors import InternalCheckError
 from .products import block_counts, generalized_partial_products, partial_products
-from .scan import ScanConfig, render_csv, render_human, render_json, run_scan
+from .scan import ScanConfig, stream_report
 from .selftest import run_selftest
 from .theorems import THEOREM_IDS, verify
 
@@ -52,6 +54,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help=f"parallel workers (default ${ENV_WORKERS} or 1)")
     sc.add_argument("--format", choices=("human", "json", "csv"), default="human")
     sc.add_argument("--output", help="write the report here instead of stdout")
+    sc.add_argument("--progress", action="store_true",
+                    help="after each unit, print units done, primes per second "
+                         "and an ETA to stderr")
 
     cp = sub.add_parser("compute", help="print one quantity for a single (p, q)")
     cp.add_argument("--what", required=True, choices=_COMPUTE_CHOICES)
@@ -103,14 +108,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         q_values = tuple(primes_matching(args.q_max + 1)[1:])
     config = ScanConfig(p_max=args.p_max, theorems=_parse_theorems(args.theorems),
                         q_values=q_values, workers=_resolve_workers(args.workers))
-    report = run_scan(config)
-    renderer = {"human": render_human, "json": render_json, "csv": render_csv}
-    text = renderer[args.format](report)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    start = time.monotonic()
+
+    def progress(done: int, total: int, primes: int) -> None:
+        # units cost about the same, so the units left estimate the time left
+        elapsed = time.monotonic() - start
+        print(f"scan: {done}/{total} units, {primes / elapsed:.0f} primes/s, "
+              f"ETA {elapsed * (total - done) / done:.0f} s", file=sys.stderr, flush=True)
+
+    with (open(args.output, "w", encoding="utf-8") if args.output
+          else contextlib.nullcontext(sys.stdout)) as out:
+        report = stream_report(config, args.format, out,
+                               progress if args.progress else None)
     return EXIT_OK if not report.failures else EXIT_THEOREM_FAILURE
 
 

@@ -6,10 +6,15 @@ For a batch it creates each prime's PrimeContext, loads every block table
 of every prime in one query and every block count in another, then runs
 each prime's verifier bodies on its context.
 
-Reports are deterministic functions of the mathematical domain: verdicts are
-sorted by (p, q, theorem_id) after the parallel phase, so the worker count
-changes wall time only.  JSON output therefore compares byte-identical
-across worker counts once the runtime_ms field is ignored.
+Units are runs of consecutive primes cut at a fixed modelled cost, and each
+unit sorts its own verdicts by (p, q, theorem_id).  Units taken in order are
+therefore in report order, whether they run in this process or in a forked
+pool, which hands them back in order.  There is no global sort, and
+stream_report writes CSV rows unit by unit, keeping only what the JSON and
+human reports need.  Reports are deterministic functions of the
+mathematical domain, so the worker count changes wall time only: JSON
+output compares byte-identical across worker counts once the runtime_ms
+field is ignored.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ __all__ = [
     "render_human",
     "render_json",
     "run_scan",
+    "stream_report",
 ]
 
 DEFAULT_Q_MAX = 97
@@ -46,6 +52,15 @@ DEFAULT_Q_MAX = 97
 # 0.10-0.12 s (0.20-0.22 s one prime at a time) and sweep peak RSS 38.3,
 # 39.3 and 43.8-44.7 MB (38.2 MB)
 BATCH_LEAVES = 1 << 16
+# the modelled seconds of one unit (see _build_units), about ten times what
+# a worker costs to start: on a 2-vCPU VM, starting a fork Pool(2), mapping
+# two trivial tasks and shutting it down took 9.7-24 ms over 10 runs
+UNIT_S = 0.25
+# the cost model's seconds per tree leaf, per residue-index mark and per
+# verdict, fitted as _build_units states
+LEAF_S = 4.6e-9
+MARK_S = 3.2e-9
+VERDICT_S = 3.5e-5
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,10 @@ class ScanConfig:
             for q in self.q_values:
                 if q < 3 or q % 2 == 0 or not is_prime(q):
                     raise ValueError(f"q values must be odd primes, got {q}")
+                if q >= self.p_max:
+                    # no regime admits q >= p, so such a q could take no p
+                    raise ValueError(f"q values must be below p_max, got q {q} "
+                                     f"and p_max {self.p_max}")
             if len(set(self.q_values)) != len(self.q_values):
                 raise ValueError("duplicate q values")
         if self.workers < 1:
@@ -118,7 +137,8 @@ def _batches(unit: tuple[tuple[int, tuple], ...]):
 
 
 def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
-    """Verdicts for a unit of (p, ((theorem, q), ...)) entries."""
+    """Verdicts for a unit of (p, ((theorem, q), ...)) entries, in report
+    order."""
     out = []
     for batch in _batches(unit):
         # looked up on the module, so a replaced class takes effect
@@ -128,67 +148,141 @@ def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
             for tid, q in work:
                 # looked up per call, so a replaced verifier takes effect at once
                 out.append(_VERIFIERS[tid](ctx, q))
+    out.sort(key=lambda v: (v.p, -1 if v.q is None else v.q, v.theorem_id))
     return out
 
 
 def _build_units(config: ScanConfig) -> tuple[list, dict[str, int]]:
     """Prime-major work units: runs of consecutive primes, each with its
     (theorem, q) pairs, taken by masks from one list of the primes below
-    p_max, and cut so that every unit holds about the same sum of p, since
-    the per-prime set-up grows linearly in p."""
+    p_max.  A unit closes once its modelled cost reaches UNIT_S, so it costs
+    at most UNIT_S plus the cost of its last prime.
+
+    The model of one prime's cost, in seconds, is
+        LEAF_S * h     if some claim at p reads block tables (the product
+                       tree over 1..h, h = (p-1)/2)
+      + MARK_S * p     if some claim at p reads block counts (the residue
+                       index marks j*j mod p)
+      + VERDICT_S * v  for the v verdicts at p.
+    The constants were fitted by nonnegative least squares on relative
+    error to 240 timed _run_unit calls on a 2-vCPU VM, made in two rounds
+    on runs of consecutive primes spread over 7 < p < 10**6, for five
+    mixes: all nine theorems over the default q, mordell alone, eq2_parity
+    alone, t1 at q = 3, and eq_a with t2 at q = 7, 11, 19, 23, 31.  The
+    model gave 0.53-1.4 times the measured time for 90% of the calls, and
+    0.6-1.45 times for the mix of all nine theorems."""
     skipped: dict[str, int] = {tid: 0 for tid in config.theorems}
     below = np.array(primes_matching(config.p_max), dtype=np.int64)
-    work: dict[int, list[tuple[str, int | None]]] = {}
+    work: list[list[tuple[str, int | None]]] = [[] for _ in range(below.size)]
+    verdicts = np.zeros(below.size, dtype=np.int64)
+    tree = np.zeros(below.size, dtype=bool)
+    index = np.zeros(below.size, dtype=bool)
     for tid in config.theorems:
+        regime = REGIMES[tid]
         for q in _resolved_q(config, tid):
             if regime_q_reason(tid, q) is not None:
                 skipped[tid] += 1
                 continue
-            classes, min_p = REGIMES[tid].p_classes(q)
-            keep = np.logical_and.reduce([below > min_p] + [below % m == r for m, r in classes])
-            for p in below[keep].tolist():
-                work.setdefault(p, []).append((tid, q))
-    primes = sorted(work)
-    target = sum(primes) / (config.workers * 4)
-    units, unit, weight = [], [], 0
-    for p in primes:
-        unit.append((p, tuple(work[p])))
-        weight += p
-        if weight >= target:
+            classes, min_p = regime.p_classes(q)
+            keep = np.flatnonzero(np.logical_and.reduce(
+                [below > min_p] + [below % m == r for m, r in classes]))
+            pair = (tid, q)
+            for i in keep.tolist():
+                work[i].append(pair)
+            verdicts[keep] += 1
+            tree[keep] |= regime.blocks
+            index[keep] |= regime.counts
+    cost = (LEAF_S * tree * ((below - 1) // 2) + MARK_S * index * below
+            + VERDICT_S * verdicts).tolist()
+    primes = below.tolist()
+    units, unit, weight = [], [], 0.0
+    for i in np.flatnonzero(verdicts).tolist():
+        unit.append((primes[i], tuple(work[i])))
+        weight += cost[i]
+        if weight >= UNIT_S:
             units.append(tuple(unit))
-            unit, weight = [], 0
+            unit, weight = [], 0.0
     if unit:
         units.append(tuple(unit))
     return units, skipped
 
 
+class _Stream:
+    """One scan, unit by unit.  Iterating runs the units and yields each
+    unit with its verdicts, in report order, while it tallies what a report
+    keeps of them: per-theorem totals, the failures, and the q at which t1
+    ran.  The units run in this process when there is one, else in a forked
+    pool of at most one worker per unit."""
+
+    def __init__(self, config: ScanConfig) -> None:
+        self.start = time.monotonic()
+        self.config = config
+        self.units, skipped = _build_units(config)
+        self.totals = {tid: {"applicable": 0, "passed": 0, "failed": 0,
+                             "skipped_q": skipped[tid]} for tid in config.theorems}
+        self.failures: list[Verdict] = []
+        self.t1_qs: set[int] = set()
+
+    def __iter__(self):
+        for unit, verdicts in self._results():
+            for v in verdicts:
+                t = self.totals[v.theorem_id]
+                t["applicable"] += 1
+                t["passed" if v.passed else "failed"] += 1
+                if not v.passed:
+                    self.failures.append(v)
+                if v.theorem_id == "t1":
+                    self.t1_qs.add(v.q)
+            yield unit, verdicts
+
+    def _results(self):
+        workers = min(self.config.workers, len(self.units))
+        if workers <= 1:
+            yield from zip(self.units, map(_run_unit, self.units))
+            return
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            yield from zip(self.units, pool.imap(_run_unit, self.units))
+
+    def report(self, verdicts: list[Verdict]) -> ScanReport:
+        """The report of the units run so far, holding the given verdicts."""
+        config = self.config
+        echo = {
+            "p_max": config.p_max,
+            "theorems": sorted(config.theorems),
+            "q": {tid: ([q for q in _resolved_q(config, tid) if q is not None] or None)
+                  for tid in config.theorems},
+        }
+        runtime_ms = int((time.monotonic() - self.start) * 1000)
+        return ScanReport(config=echo, totals=self.totals, verdicts=verdicts,
+                          failures=self.failures, runtime_ms=runtime_ms)
+
+
 def run_scan(config: ScanConfig) -> ScanReport:
-    start = time.monotonic()
-    units, skipped = _build_units(config)
-    if config.workers > 1 and len(units) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(config.workers) as pool:
-            chunks = pool.map(_run_unit, units)
-    else:
-        chunks = [_run_unit(u) for u in units]
-    verdicts = [v for chunk in chunks for v in chunk]
-    verdicts.sort(key=lambda v: (v.p, v.q if v.q is not None else -1, v.theorem_id))
-    totals = {tid: {"applicable": 0, "passed": 0, "failed": 0,
-                    "skipped_q": skipped[tid]} for tid in config.theorems}
-    for v in verdicts:
-        t = totals[v.theorem_id]
-        t["applicable"] += 1
-        t["passed" if v.passed else "failed"] += 1
-    failures = [v for v in verdicts if not v.passed]
-    echo = {
-        "p_max": config.p_max,
-        "theorems": sorted(config.theorems),
-        "q": {tid: ([q for q in _resolved_q(config, tid) if q is not None] or None)
-              for tid in config.theorems},
-    }
-    runtime_ms = int((time.monotonic() - start) * 1000)
-    return ScanReport(config=echo, totals=totals, verdicts=verdicts,
-                      failures=failures, runtime_ms=runtime_ms)
+    stream = _Stream(config)
+    return stream.report([v for _, verdicts in stream for v in verdicts])
+
+
+def stream_report(config: ScanConfig, fmt: str, out, on_unit=None) -> ScanReport:
+    """Run config's scan and write its report in fmt ("human", "json" or
+    "csv") to out, as render_* would write run_scan(config)'s: CSV rows as
+    each unit arrives, the JSON or human text at the end.  After each unit,
+    on_unit(done, total, primes) gets the units done, the unit count and
+    the primes done.  Returns the report, which holds no verdicts."""
+    stream = _Stream(config)
+    rows = _csv_writer(out) if fmt == "csv" else None
+    primes = 0
+    for done, (unit, verdicts) in enumerate(stream, 1):
+        if rows is not None:
+            rows.writerows(_csv_rows(verdicts))
+        primes += len(unit)
+        if on_unit:
+            on_unit(done, len(stream.units), primes)
+    report = stream.report([])
+    if fmt == "json":
+        out.write(render_json(report))
+    elif fmt == "human":
+        out.write(_render_human(report, stream.t1_qs))
+    return report
 
 
 def _flat(v: Verdict) -> dict:
@@ -209,12 +303,21 @@ def render_json(report: ScanReport) -> str:
 
 def render_csv(report: ScanReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["theorem_id", "p", "q", "predicted", "computed", "detail"])
-    for v in report.verdicts:
-        writer.writerow([v.theorem_id, v.p, "" if v.q is None else v.q,
-                         _cell(v.predicted), _cell(v.computed), v.detail])
+    _csv_writer(buf).writerows(_csv_rows(report.verdicts))
     return buf.getvalue()
+
+
+def _csv_writer(out):
+    """A CSV writer on out that has written the header row."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["theorem_id", "p", "q", "predicted", "computed", "detail"])
+    return writer
+
+
+def _csv_rows(verdicts: list[Verdict]):
+    for v in verdicts:
+        yield [v.theorem_id, v.p, "" if v.q is None else v.q,
+               _cell(v.predicted), _cell(v.computed), v.detail]
 
 
 def _cell(value: object) -> str:
@@ -232,6 +335,12 @@ _HEADLINES = {
 
 
 def render_human(report: ScanReport) -> str:
+    return _render_human(report, {v.q for v in report.verdicts if v.theorem_id == "t1"})
+
+
+def _render_human(report: ScanReport, t1_qs: set[int]) -> str:
+    """The human report; a headline is stated only at a q in t1_qs, where
+    some t1 verdict checked it."""
     lines = [f"scan p < {report.config['p_max']}"]
     width = max(len(t) for t in report.totals)
     lines.append(f"{'theorem':<{width}}  applicable  passed  failed  skipped_q")
@@ -245,9 +354,7 @@ def render_human(report: ScanReport) -> str:
     if len(report.failures) > 50:
         lines.append(f"... and {len(report.failures) - 50} more failures")
     if not report.failures:
-        # a headline only where some t1 verdict checked it
-        checked = {v.q for v in report.verdicts if v.theorem_id == "t1"}
-        lines += [_HEADLINES[q] for q in sorted(checked & _HEADLINES.keys())]
+        lines += [_HEADLINES[q] for q in sorted(t1_qs & _HEADLINES.keys())]
     total_fail = len(report.failures)
     verdict = "all passed" if total_fail == 0 else f"{total_fail} FAILED"
     lines.append(f"result: {verdict} ({report.runtime_ms} ms)")

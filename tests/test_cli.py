@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -284,3 +285,105 @@ def test_config_validation():
     # an empty q list would run nothing and echo like a claim without q
     with pytest.raises(ValueError, match="q_values"):
         ScanConfig(p_max=200, theorems=("t1",), q_values=())
+
+
+def test_scan_rejects_q_at_or_above_p_max(capsys):
+    # no regime admits q >= p, so such a q would run nothing and echo a claim
+    for p_max, q in ((100, 101), (101, 101)):
+        with pytest.raises(ValueError, match=f"q {q} and p_max {p_max}"):
+            ScanConfig(p_max=p_max, theorems=("t1",), q_values=(3, q))
+    code, out, err = run_cli(capsys, "scan", "--p-max", "100", "--q", "101",
+                             "--theorems", "t1")
+    assert code == 2 and out == ""
+    assert err.count("error:") == 1 and "101" in err and "100" in err, err
+
+
+SMALL_SCAN = ("--p-max", "3000", "--theorems", "all", "--q", "3", "--q", "5", "--q", "7")
+
+
+def _small_config(workers: int) -> ScanConfig:
+    return ScanConfig(p_max=3000, theorems=THEOREM_IDS, q_values=(3, 5, 7), workers=workers)
+
+
+def test_scan_csv_streams_the_library_rendering(tmp_path, monkeypatch, capsys):
+    import gaussprod.scan as scan_mod
+    want = render_csv(run_scan(_small_config(1)))
+    target = tmp_path / "rows.csv"
+    code, out, _ = run_cli(capsys, "scan", *SMALL_SCAN, "--workers", "1",
+                           "--format", "csv", "--output", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == want.encode()
+    # several units in a pool of two
+    monkeypatch.setattr(scan_mod, "UNIT_S", 0.01)
+    code, out, _ = run_cli(capsys, "scan", *SMALL_SCAN, "--workers", "2",
+                           "--format", "csv", "--output", str(target))
+    assert code == 0 and out == ""
+    assert target.read_bytes() == want.encode()
+
+
+def test_scan_json_and_human_match_the_library_rendering(capsys):
+    report = run_scan(_small_config(1))
+    code, out, _ = run_cli(capsys, "scan", *SMALL_SCAN, "--format", "json")
+    assert code == 0
+    got, want = json.loads(out), json.loads(render_json(report))
+    got.pop("runtime_ms")
+    want.pop("runtime_ms")
+    assert got == want
+    code, out, _ = run_cli(capsys, "scan", *SMALL_SCAN)
+    assert code == 0
+    want = render_human(report)
+    # the last line states the runtime
+    assert out.splitlines()[:-1] == want.splitlines()[:-1]
+    assert out.splitlines()[-1].startswith("result: all passed (")
+    assert "q=7: blocks 1 and 3 share a symbol" in out
+
+
+def test_scan_internal_error_keeps_the_rows_written(tmp_path, monkeypatch, capsys):
+    # a verifier raises at one prime: the rows of the units before its unit
+    # are in the file, and the run exits 3 with one line
+    import gaussprod.scan as scan_mod
+    from gaussprod.errors import InternalCheckError
+    monkeypatch.setattr(scan_mod, "UNIT_S", 0.01)
+    units, _ = scan_mod._build_units(_small_config(1))
+    unit = units[2]
+    bad = next(p for p, work in unit if any(tid == "t1" for tid, _ in work))
+    lines = render_csv(run_scan(_small_config(1))).splitlines(keepends=True)
+    want = "".join(lines[:1] + [r for r in lines[1:] if int(r.split(",")[1]) < unit[0][0]])
+    t1 = scan_mod._VERIFIERS["t1"]
+
+    def broken(ctx, q):
+        if ctx.p == bad:
+            raise InternalCheckError(f"planted at p={bad}")
+        return t1(ctx, q)
+
+    monkeypatch.setitem(scan_mod._VERIFIERS, "t1", broken)
+    target = tmp_path / "rows.csv"
+    for workers in ("1", "2"):
+        code, out, err = run_cli(capsys, "scan", *SMALL_SCAN, "--workers", workers,
+                                 "--format", "csv", "--output", str(target))
+        assert code == 3 and out == ""
+        assert err == f"internal error: planted at p={bad}\n", err
+        assert target.read_text() == want, workers
+
+
+def test_scan_progress_goes_to_stderr_only(tmp_path, monkeypatch, capsys):
+    # CSV, the one format without a runtime, so that output can compare bytes
+    import gaussprod.scan as scan_mod
+    monkeypatch.setattr(scan_mod, "UNIT_S", 0.01)
+    total = len(scan_mod._build_units(_small_config(1))[0])
+    assert total > 1
+    base = ("scan", *SMALL_SCAN, "--format", "csv")
+    code, plain, err = run_cli(capsys, *base)
+    assert code == 0 and err == ""
+    code, shown, err = run_cli(capsys, *base, "--progress")
+    assert code == 0 and shown == plain
+    lines = err.splitlines()
+    assert len(lines) == total
+    for done, line in enumerate(lines, 1):
+        assert re.fullmatch(rf"scan: {done}/{total} units, \d+ primes/s, ETA \d+ s", line), line
+    plain_file, shown_file = tmp_path / "plain.csv", tmp_path / "shown.csv"
+    code, out, err = run_cli(capsys, *base, "--output", str(plain_file))
+    assert code == 0 and out == err == ""
+    code, out, err = run_cli(capsys, *base, "--output", str(shown_file), "--progress")
+    assert code == 0 and out == "" and len(err.splitlines()) == total
+    assert shown_file.read_bytes() == plain_file.read_bytes()
