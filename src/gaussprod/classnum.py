@@ -82,18 +82,32 @@ def _dirichlet(ctx: PrimeContext) -> ClassNumberResult:
     if ctx.class_number is None:
         p, half = ctx.p, (ctx.p - 1) // 2
         if ctx.residue_index is not None:
-            char_sum = 2 * int(ctx.residue_counts(half)) - half
-            denom = 2 - ctx.legendre(2)
-            if char_sum % denom:
-                raise InternalCheckError(
-                    f"half-interval character sum {char_sum} not divisible by {denom} at p={p}")
-            h = char_sum // denom
+            h = int(_half_interval_h(np.array([p]), ctx.residue_counts([half]),
+                                     np.array([ctx.legendre(2)]))[0])
         else:
             h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
-        if h < 1:
-            raise InternalCheckError(f"nonpositive class number {h} at p={p}")
+            if h < 1:
+                raise InternalCheckError(f"nonpositive class number {h} at p={p}")
         ctx.class_number = ClassNumberResult(p=p, h=h, method="dirichlet")
     return ctx.class_number
+
+
+def _half_interval_h(p: np.ndarray, residues: np.ndarray, two: np.ndarray) -> np.ndarray:
+    """h(-p) elementwise for int64 columns of primes p == 3 (mod 4), p > 3,
+    the residues R in 1..(p-1)/2 of each and the symbols (2|p), as
+    (2R - (p-1)/2) / (2 - (2|p)); InternalCheckError, naming its p, at the
+    first p whose sum is not divisible or whose h is not positive."""
+    char_sum = 2 * residues - p // 2
+    denom = 2 - two
+    h = char_sum // denom
+    bad = (h * denom != char_sum) | (h < 1)
+    if bad.any():
+        i = bad.argmax()
+        if h[i] * denom[i] != char_sum[i]:
+            raise InternalCheckError(f"half-interval character sum {char_sum[i]} "
+                                     f"not divisible by {denom[i]} at p={p[i]}")
+        raise InternalCheckError(f"nonpositive class number {h[i]} at p={p[i]}")
+    return h
 
 
 def class_number_lemma1(p: int, q: int) -> ClassNumberResult:

@@ -1,9 +1,13 @@
 """Per-prime state: one PrimeContext holds everything derived from a prime p.
 
-A context validates p and is otherwise a plain record.  Its residue index,
-block tables, block counts, h(-p) and representations start empty; each is
-filled by its loader (load_residue_indexes here, products and classnum for
-the rest), which takes a batch of primes.  A single query is a batch of one.
+A context validates p, unless a scan builds it for a prime from the sieve
+(PrimeContext._sieved), and is otherwise a plain record.  Its residue
+index, block tables, block counts, h(-p), representations and verdict
+inputs start empty; each is filled by its loader (load_residue_indexes
+here, products, classnum and inputs for the rest), which takes a batch of
+primes.  A single query is a batch of one.  A scan keeps no tables or
+counts in its contexts: inputs._load_unit reads them as flat arrays and
+keeps only each verdict's inputs.
 
 Block products come from a product tree of the lower half 1..(p-1)/2
 (Bernstein, "Fast multiplication and its applications", 2008), built for a
@@ -21,7 +25,7 @@ with a rank directory of the set bits before each word: p/4 bytes kept, a
 count in two gathers and a popcount.  Like the tree it is built for a
 batch of primes at once (load_residue_indexes), one row per prime, and
 each context keeps its row; products reads every block count of a batch
-from one gather over the rows and keeps them in ctx.counts.
+from one gather over the rows.
 
 Two kernels fork on one row, each for a measured reason: the tree reduces
 it by _reduce, which avoids hardware division (0.25 against 0.61 ms for a
@@ -48,6 +52,11 @@ __all__ = ["P_LIMIT", "PrimeContext", "half_products", "load_residue_indexes"]
 
 # int64 stays exact for products of two residues and for j*j below this bound
 P_LIMIT = 1 << 31
+# below this bound (p-1)**2 < 2**31, so int32 holds the product of two
+# residues, and so the tree of a batch whose largest prime lies below it is
+# int32: there a remainder by a column costs about 1/1.7 and a floor
+# division by a scalar about 1/2.7 of int64's
+INT32_LIMIT = 46341
 
 
 class PrimeContext:
@@ -55,11 +64,22 @@ class PrimeContext:
     tables, block counts, h(-p) and representations of p, each empty until
     its loader fills it."""
 
-    def __init__(self, p: int) -> None:
+    def __new__(cls, p: int):
         if p >= P_LIMIT:
             raise ValueError(f"p must be below 2**31, got {p}")
         if p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"p must be an odd prime, got {p}")
+        return super().__new__(cls)
+
+    @classmethod
+    def _sieved(cls, p: int) -> PrimeContext:
+        """The context of an odd prime p < 2**31 taken from a sieve: cls's
+        __init__ runs, the primality test of PrimeContext(p) does not."""
+        ctx = object.__new__(cls)
+        ctx.__init__(p)
+        return ctx
+
+    def __init__(self, p: int) -> None:
         self.p = p
         # (words, rank): bit x of the little-endian uint64 words is set when
         # x is a nonzero square mod p, and rank[w] counts the set bits in
@@ -74,6 +94,9 @@ class PrimeContext:
         self.class_number = None
         # q -> Representation of 4*p**h(-q), filled by classnum
         self.representations: dict = {}
+        # (theorem_id, q) -> the inputs of that claim's verdict at p, filled
+        # by inputs._load_unit
+        self.inputs: dict = {}
 
     def residue_counts(self, x) -> np.ndarray:
         """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p,
@@ -115,12 +138,13 @@ _tree_store = np.empty(0, dtype=np.int64)
 
 
 def _reduce(a: np.ndarray, p: int) -> np.ndarray:
-    """a %= p in place for a 1-D int64 array, returned: about twice as fast
-    as %, since numpy's // by a scalar uses libdivide and % a hardware
-    divide."""
+    """a %= p in place for a 1-D int64 or int32 array, returned: about twice
+    as fast as %, since numpy's // by a scalar uses libdivide and % a
+    hardware divide."""
+    buffer = _quotient.view(a.dtype)
     for start in range(0, a.size, _quotient.size):
         part = a[start:start + _quotient.size]
-        quotient = np.floor_divide(part, p, out=_quotient[:part.size])
+        quotient = np.floor_divide(part, p, out=buffer[:part.size])
         quotient *= p
         part -= quotient
     return a
@@ -142,7 +166,9 @@ def _four_leaves(x: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
     x < 2**30 gives y < 2**61, and y mod p < 2**31 gives y*y < 2**62; when
     y == 0 (mod p), y*y - 1 = -1, which the floor division of either
     reduction maps to p - 1.  p is as for _mod; out, if given, has x's
-    shape for one prime and (rows, x.size) for a column of primes."""
+    shape for one prime and (rows, x.size) for a column of primes.  In
+    int32, for p < INT32_LIMIT: x <= h < 23,171 gives y < 2**30, and
+    y mod p < 46,341 gives y*y < 2**31."""
     out = np.add(x, 5, out=out)
     out *= x
     out += 5
@@ -168,9 +194,12 @@ def _half_tree(primes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     and its 1, so flat ends with a 1.  Offset and width are columns, for
     the gather of half_products.  A one-row batch, about 2p bytes, reduces
     by _reduce, scalar p; a batch of several by one remainder per level
-    against the column of its primes."""
+    against the column of its primes.  The tree is int32 when the largest
+    prime lies below INT32_LIMIT, int64 otherwise, and either way a view
+    of the one int64 _tree_store."""
     global _tree_store
     rows = len(primes)
+    dtype = np.int32 if max(primes) < INT32_LIMIT else np.int64
     size = [(max(primes) + 5) // 8]  # ceil(h / 4) for the widest row
     while size[-1] > 1:
         size.append((size[-1] + 1) // 2)
@@ -178,17 +207,18 @@ def _half_tree(primes: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     offset = [0]
     for w in width[2:]:
         offset.append(offset[-1] + rows * w)
-    if _tree_store.size < offset[-1]:
-        _tree_store = np.empty(1 << (offset[-1] - 1).bit_length(), dtype=np.int64)
-    flat = _tree_store[:offset[-1]]
+    words = -(-offset[-1] * np.dtype(dtype).itemsize // 8)
+    if _tree_store.size < words:
+        _tree_store = np.empty(1 << (words - 1).bit_length(), dtype=np.int64)
+    flat = _tree_store.view(dtype)[:offset[-1]]
     levels = [flat[a:b].reshape(rows, -1) for a, b in zip(offset, offset[1:])]
     # one row reduces by _reduce, about twice as fast as a remainder by a column
-    modulus = primes[0] if rows == 1 else np.array(primes)[:, None]
+    modulus = primes[0] if rows == 1 else np.array(primes, dtype=dtype)[:, None]
 
     flat[[a + r * w + n for a, w, n in zip(offset, width[2:], size) if n & 1
           for r in range(rows)]] = 1
     n = size[0]
-    level = _four_leaves(np.arange(0, 4 * n, 4), modulus, levels[0][:, :n])
+    level = _four_leaves(np.arange(0, 4 * n, 4, dtype=dtype), modulus, levels[0][:, :n])
     if rows > 1:
         # a row of h leaves has ceil(h/4) = (p+5)//8 nodes here
         level[np.arange(n) >= (modulus + 5) // 8] = 1
@@ -213,9 +243,10 @@ def half_products(primes: list[int], x_row, x, y_row, y) -> tuple[np.ndarray, np
     on a level it takes the padding 1.  S(1) is h!, the root, so P(h).
     Levels 0 and 1 are not stored: leaf x is x, and pair j is
     (2j+1)(2j+2), a leaf past the row's h being 1, since S can reach past h.
+    Both come in the tree's dtype, int32 below INT32_LIMIT.
     """
     flat, offset, width = _half_tree(primes)
-    p = np.array(primes)
+    p = np.array(primes, dtype=flat.dtype)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     rows = np.concatenate((x_row, y_row), dtype=np.int64, casting="unsafe")
@@ -228,7 +259,7 @@ def half_products(primes: list[int], x_row, x, y_row, y) -> tuple[np.ndarray, np
     # two in-place adds, which make one (levels, points) temporary fewer
     node += offset
     node += rows * width
-    out = np.empty_like(a)
+    out = np.empty(a.shape, dtype=flat.dtype)
     out[2:] = flat[np.where(a[2:] & 1, node[2:], -1)]
     out[0] = np.where(a[0] & 1, node[0] + 1, 1)
     leaf = 2 * node[1] + 1

@@ -9,6 +9,12 @@ they differ only in what they require, n | p - 1 for the equal (plain)
 blocks and an odd prime n = q < p for the floor-cut (generalized) ones.
 Every layout is mirror-symmetric, c_(n-k) = p-1-c_k, so a table is computed
 from its lower half, which lies in 1..(p-1)/2 (see load_block_tables).
+
+_block_values and _block_counts take many layouts of many primes as flat
+arrays, in batches that share a tree or a residue index, with every cut
+k*p//n from numpy; a scan's pass (inputs._load_unit) reads them so, and
+load_block_tables and load_block_counts build their PartialProductTable
+and BlockCounts objects from the same arrays.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from functools import cache
 import numpy as np
 
 from .arith import is_prime
+from . import context
 from .context import PrimeContext, _set_bits_through, half_products, load_residue_indexes
 
 __all__ = [
@@ -92,7 +99,7 @@ def load_block_tables(batch) -> list[list[PartialProductTable]]:
     - block n+1-k is block k times (-1)**(c_k - c_(k-1));
     - for odd n, the central block is (-1)**(h - c_m) S(c_m + 1)**2,
 
-    with P and S the two walks of context.half_products.
+    with P and S the two walks of context.half_products (_block_values).
     """
     batch = [(ctx, list(sizes)) for ctx, sizes in batch]
     todo = [(ctx, [n for n in dict.fromkeys(sizes) if n not in ctx.tables])
@@ -104,36 +111,111 @@ def load_block_tables(batch) -> list[list[PartialProductTable]]:
 
 
 def _fill_tables(todo) -> None:
-    """Compute the missing tables of load_block_tables: one tree row per
-    context, one walk point per lower-half cut."""
-    primes = [ctx.p for ctx, _ in todo]
-    layouts = [(r, n, _cuts(p, n)[:n // 2 + 1])
-               for r, (p, (_, missing)) in enumerate(zip(primes, todo)) for n in missing]
-    hi = [c for _, _, low in layouts for c in low[1:]]
-    lo = [c for _, _, low in layouts for c in low[:-1]]
-    mid = [low[-1] for _, n, low in layouts if n & 1]
-    row = np.repeat([r for r, _, _ in layouts], [n // 2 for _, n, _ in layouts])
-    mid_row = [r for r, n, _ in layouts if n & 1]
-    f, s = half_products(primes, np.append(row, range(len(primes))),
-                         hi + [(p - 1) // 2 for p in primes],
-                         np.append(row, mid_row), [c + 1 for c in lo + mid])
-    # f[len(hi):] = h!, and (-1)**(h+1) h! is the inverse of h!
-    p = np.array(primes)
-    fact = f[len(hi):]
-    inverse = np.where(p & 2, fact, p - fact)[row]
-    pk, pm = p[row], p[mid_row]
-    lower = f[:len(hi)] * s[:len(hi)] % pk * inverse % pk
-    upper = np.where(np.subtract(hi, lo) & 1, pk - lower, lower).tolist()
-    central = s[len(hi):] ** 2 % pm
-    central = iter(np.where((pm // 2 - np.array(mid, dtype=np.int64)) & 1,
-                            pm - central, central).tolist())
-    lower, i = lower.tolist(), 0
-    for r, n, low in layouts:
-        m = len(low) - 1
-        values = lower[i:i + m] + ([next(central)] if n & 1 else [])
-        todo[r][0].tables[n] = PartialProductTable(
-            p=primes[r], n=n, values=tuple(values + upper[i:i + m][::-1]))
-        i += m
+    """Compute the missing tables of load_block_tables, one tree row per
+    context."""
+    ns = np.array([n for _, missing in todo for n in missing])
+    rows = np.repeat(np.arange(len(todo)), [len(missing) for _, missing in todo])
+    values = _block_values([ctx.p for ctx, _ in todo], rows, ns, [len(todo)]).tolist()
+    i = 0
+    for ctx, missing in todo:
+        for n in missing:
+            ctx.tables[n] = PartialProductTable(p=ctx.p, n=n, values=tuple(values[i:i + n]))
+            i += n
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of an ascending array."""
+    return a if a.size < 2 else a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
+# the walk points or cuts that one pass of a loader lays out at most, unless
+# one batch has more: 64 KB per int64 array
+_CHUNK = 1 << 13
+
+
+def _chunks(sizes: np.ndarray, rows: np.ndarray, stops):
+    """Runs [a, b) of consecutive layouts made of whole batches, each of
+    total size at most _CHUNK or one batch; the layouts' rows ascend, and
+    the batch of rows b ends before row stops[b]."""
+    total = [0] + sizes.cumsum().tolist()
+    if total[-1] <= _CHUNK:
+        # one run, as a single query's always is
+        if sizes.size:
+            yield 0, sizes.size
+        return
+    ends = [0] + rows.searchsorted(stops).tolist()
+    a = 0
+    for b, c in zip(ends[1:], ends[2:] + [None]):
+        if c is None or total[c] - total[a] > _CHUNK:
+            if a < b:
+                yield a, b
+            a = b
+
+
+def _batch_spans(p: np.ndarray, rows: np.ndarray, layout: np.ndarray, stops):
+    """For each batch that has a layout: its distinct primes, as a list for
+    one tree or index, the span of the flat entries of its layouts, and each
+    entry's row among those primes.  rows ascend, layout[i] is entry i's
+    layout, and the batch of rows b ends before row stops[b]."""
+    used = _distinct(rows)
+    tree = used.searchsorted(rows)[layout]
+    if len(stops) == 1:
+        yield p[used].tolist(), slice(None), tree
+        return
+    primes, batches = p[used].tolist(), _distinct(used.searchsorted(stops)).tolist()
+    points = [0] + tree.searchsorted(batches).tolist()
+    for a, b, u, v in zip(points, points[1:], [0] + batches, batches):
+        if a < b:
+            yield primes[u:v], slice(a, b), tree[a:b] - u
+
+
+def _block_values(primes: list[int], rows: np.ndarray, ns: np.ndarray, stops) -> np.ndarray:
+    """The products of the ns[i] blocks of primes[rows[i]] for every layout
+    i, int64, flat in the order of the layouts: block k of layout i at
+    ns[:i].sum() + k - 1.
+
+    rows ascend, and the batch of rows b ends before row stops[b].  With
+    m = n // 2 and the cuts c_j = j*p//n, a layout walks m + 1 points j:
+    P at c_(j+1) and S at c_j + 1 for j < m, which give block j + 1, and at
+    j = m P at h, which gives h!, and S at c_m + 1, which gives the central
+    block of odd n (clipped to h and unused for even n, where c_m = h).
+    The points of a run of batches are laid out at once (_chunks); each
+    batch's rows that have a layout share one tree, built for its points
+    and dropped before the next batch's; then every block of the run is
+    placed at once (see load_block_tables)."""
+    p = np.array(primes, dtype=np.int64)
+    return np.concatenate([p[:0]] + [_run_values(p, rows[a:b], ns[a:b], stops)
+                                     for a, b in _chunks(ns // 2 + 1, rows, stops)])
+
+
+def _run_values(p: np.ndarray, rows: np.ndarray, ns: np.ndarray, stops) -> np.ndarray:
+    """_block_values of one run of batches."""
+    m = ns >> 1
+    ends = (m + 1).cumsum()
+    layout = np.arange(ns.size).repeat(m + 1)
+    j = np.arange(ends[-1]) - (ends - m - 1)[layout]
+    pj, nj, last = p[rows][layout], ns[layout], j == m[layout]
+    h = pj >> 1
+    cut = j * pj // nj
+    x = np.where(last, h, (j + 1) * pj // nj)
+    y = np.minimum(cut + 1, h)
+    f, s = np.empty_like(x), np.empty_like(y)
+    for primes, span, row in _batch_spans(p, rows, layout, stops):
+        f[span], s[span] = half_products(primes, row, x[span], row, y[span])
+    # block j + 1 is P(c_(j+1)) S(c_j + 1) / h!, and 1/h! = (-1)**(h+1) h!
+    fact = f[ends - 1][layout]
+    lower = f * s % pj * np.where(pj & 2, fact, pj - fact) % pj
+    central = s * s % pj
+    # each block to its place, and every other entry to the last, dropped
+    first = ns.cumsum()
+    size = first[-1]
+    first = (first - ns)[layout]
+    values = np.empty(size + 1, dtype=np.int64)
+    values[np.where(last, size, first + j)] = lower
+    values[np.where(last, size, first + nj - 1 - j)] = np.where((x - cut) & 1, pj - lower, lower)
+    values[np.where(last & (nj & 1 == 1), first + j, size)] = np.where(
+        (h - cut) & 1, pj - central, central)
+    return values[:size]
 
 
 def partial_products(p: int, n: int) -> PartialProductTable:
@@ -190,28 +272,66 @@ def load_block_counts(batch) -> list[list[BlockCounts]]:
 
 def _fill_counts(todo, words: np.ndarray, rank: np.ndarray) -> None:
     """Fill the missing counts of load_block_counts from the (words, rank)
-    of the todo contexts' indexes, one row each: the cuts of every layout
-    in numpy, the residues in 1..x at every cut x in one gather, as
-    residue_counts takes them, then each block's residues and nonresidues
-    from differences of cuts.  A row is whole words, so x of row r is bit
-    r * 64 * words.shape[1] + x of the raveled words."""
-    layouts = [(r, ctx, n) for r, (ctx, missing) in enumerate(todo) for n in missing]
-    row, p, n = np.array([(r, ctx.p, n) for r, ctx, n in layouts]).T
-    length = n + 1
-    row, p, n = (np.repeat(column, length) for column in (row, p, n))
-    # k runs over 0..n in each layout, and c_n = p - 1, not k*p/n = p
-    k = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
-    x = k * p // n - (k == n)
-    counts = _set_bits_through(words.ravel(), rank.ravel(), row * 64 * words.shape[1] + x)
-    # differences by slicing, which costs less than np.diff; the entry
-    # that spans two layouts is skipped below
-    residues = counts[1:] - counts[:-1]
-    nonresidues = (x[1:] - x[:-1] - residues).tolist()
-    residues, i = residues.tolist(), 0
-    for _, ctx, n in layouts:
-        ctx.counts[n] = BlockCounts(p=ctx.p, q=n, residues=tuple(residues[i:i + n]),
-                                    nonresidues=tuple(nonresidues[i:i + n]))
-        i += n + 1
+    of the todo contexts' indexes, one row each."""
+    ns = np.array([n for _, missing in todo for n in missing])
+    rows = np.repeat(np.arange(len(todo)), [len(missing) for _, missing in todo])
+    layout, x = _cut_points(np.array([ctx.p for ctx, _ in todo]), rows, ns)
+    counts = _set_bits_through(words.ravel(), rank.ravel(), rows[layout] * 64 * words.shape[1] + x)
+    residues, nonresidues = (c.tolist() for c in _differences(counts, x))
+    i = 0
+    for ctx, missing in todo:
+        for n in missing:
+            ctx.counts[n] = BlockCounts(p=ctx.p, q=n, residues=tuple(residues[i:i + n]),
+                                        nonresidues=tuple(nonresidues[i:i + n]))
+            i += n + 1
+
+
+def _cut_points(p: np.ndarray, rows: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(layout, x) of every cut x = c_k, k = 0..n, of every layout i of
+    n = ns[i] blocks of p[rows[i]], flat in the order of the layouts."""
+    ends = (ns + 1).cumsum()
+    layout = np.arange(ns.size).repeat(ns + 1)
+    k = np.arange(ends[-1]) - (ends - ns - 1)[layout]
+    n = ns[layout]
+    # c_n = p - 1, not k*p/n = p
+    return layout, k * p[rows][layout] // n - (k == n)
+
+
+def _differences(counts: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residues, nonresidues) of each block from the residues in 1..x at
+    its cuts x: block k of layout i at (ns[:i] + 1).sum() + k - 1, as
+    _cut_points lays them out.  The entry after a layout's last block
+    belongs to no block: it spans two layouts, or is 0 after the last."""
+    residues = np.concatenate((counts[1:] - counts[:-1], [0]))
+    return residues, np.concatenate((x[1:] - x[:-1], [0])) - residues
+
+
+def _block_counts(primes: list[int], rows: np.ndarray, ns: np.ndarray,
+                  stops) -> tuple[np.ndarray, np.ndarray]:
+    """(residues, nonresidues) of the ns[i] blocks of primes[rows[i]] for
+    every layout i, as _differences lays them out.  rows ascend, and the
+    batch of rows b ends before row stops[b]: each batch's rows that have a
+    layout share one residue index, built for its cuts and dropped before
+    the next batch's, and the cuts of a run of batches are laid out at once
+    (_chunks).  The residues in 1..x at every cut x of a batch come
+    from one gather, as residue_counts takes them.  An index row is whole
+    words, so x of row r is bit r * 64 * words.shape[1] + x of the
+    raveled words."""
+    p = np.array(primes, dtype=np.int64)
+    runs = [_run_counts(p, rows[a:b], ns[a:b], stops) for a, b in _chunks(ns + 1, rows, stops)]
+    return tuple(np.concatenate([p[:0]] + [run[i] for run in runs]) for i in (0, 1))
+
+
+def _run_counts(p: np.ndarray, rows: np.ndarray, ns: np.ndarray,
+                stops) -> tuple[np.ndarray, np.ndarray]:
+    """_block_counts of one run of batches."""
+    layout, x = _cut_points(p, rows, ns)
+    counts = np.empty_like(x)
+    for primes, span, row in _batch_spans(p, rows, layout, stops):
+        words, rank = context._residue_indexes(primes)
+        at = row * (64 * words.shape[1]) + x[span]
+        counts[span] = _set_bits_through(words.ravel(), rank.ravel(), at)
+    return _differences(counts, x)
 
 
 def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:

@@ -1,20 +1,22 @@
 """Range-scan engine: enumerate applicable (p, q) pairs, verify, aggregate.
 
 The engine is prime-major: it maps each prime p to the (theorem, q) pairs
-that apply to it, and works through runs of consecutive primes in batches.
-For a batch it creates each prime's PrimeContext, loads every block table
-of every prime in one query and every block count in another, then runs
-each prime's verifier bodies on its context.
+that apply to it, ordered by (q, theorem), and works through units of
+consecutive primes.  For a unit it creates each prime's PrimeContext from
+the sieve, without a second primality test, and inputs._load_unit
+computes the inputs of every verdict of the unit in one vectorised pass,
+loading block tables and block counts batch by batch; then each prime's
+verifier bodies run on its context, once per verdict.
 
-Units are runs of consecutive primes cut at a fixed modelled cost, and each
-unit sorts its own verdicts by (p, q, theorem_id).  Units taken in order are
-therefore in report order, whether they run in this process or in a forked
-pool, which hands them back in order.  There is no global sort, and
-stream_report writes CSV rows unit by unit, keeping only what the JSON and
-human reports need.  Reports are deterministic functions of the
-mathematical domain, so the worker count changes wall time only: JSON
-output compares byte-identical across worker counts once the runtime_ms
-field is ignored.
+Units are runs of consecutive primes cut at a fixed modelled cost, and a
+unit yields its verdicts in report order, (p, q, theorem_id), without a
+sort.  Units taken in order are therefore in report order, whether they
+run in this process or in a forked pool, which hands them back in order.
+There is no global sort, and stream_report writes CSV rows unit by unit,
+keeping only what the JSON and human reports need.  Reports are
+deterministic functions of the mathematical domain, so the worker count
+changes wall time only: JSON output compares byte-identical across worker
+counts once the runtime_ms field is ignored.
 """
 
 from __future__ import annotations
@@ -25,13 +27,15 @@ import json
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
 from .arith import is_prime, primes_matching
 from . import context
 from .context import P_LIMIT
-from .theorems import REGIMES, THEOREM_IDS, _VERIFIERS, _load_work, regime_q_reason
+from .inputs import _load_unit
+from .theorems import REGIMES, THEOREM_IDS, _VERIFIERS, regime_q_reason
 from .verdict import Verdict
 
 __all__ = [
@@ -58,9 +62,9 @@ BATCH_LEAVES = 1 << 16
 UNIT_S = 0.25
 # the cost model's seconds per tree leaf, per residue-index mark and per
 # verdict, fitted as _build_units states
-LEAF_S = 4.6e-9
-MARK_S = 3.2e-9
-VERDICT_S = 3.5e-5
+LEAF_S = 4.3e-9
+MARK_S = 3.8e-9
+VERDICT_S = 1.9e-5
 
 
 @dataclass(frozen=True)
@@ -138,17 +142,17 @@ def _batches(unit: tuple[tuple[int, tuple], ...]):
 
 def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     """Verdicts for a unit of (p, ((theorem, q), ...)) entries, in report
-    order."""
+    order, since _build_units orders each prime's work by (q, theorem)."""
+    # looked up on the module, so a replaced class takes effect
+    batches = [[(context.PrimeContext._sieved(p), work) for p, work in batch]
+               for batch in _batches(unit)]
     out = []
-    for batch in _batches(unit):
-        # looked up on the module, so a replaced class takes effect
-        rows = [(context.PrimeContext(p), work) for p, work in batch]
-        _load_work(rows)
-        for ctx, work in rows:
-            for tid, q in work:
-                # looked up per call, so a replaced verifier takes effect at once
-                out.append(_VERIFIERS[tid](ctx, q))
-    out.sort(key=lambda v: (v.p, -1 if v.q is None else v.q, v.theorem_id))
+    for part in _load_unit(batches, REGIMES):
+        for ctx, work in chain.from_iterable(part):
+            # looked up per call, so a replaced verifier takes effect at once
+            out += [_VERIFIERS[tid](ctx, q) for tid, q in work]
+            # a context's inputs go once its verdicts are made
+            ctx.inputs.clear()
     return out
 
 
@@ -166,32 +170,37 @@ def _build_units(config: ScanConfig) -> tuple[list, dict[str, int]]:
       + VERDICT_S * v  for the v verdicts at p.
     The constants were fitted by nonnegative least squares on relative
     error to 240 timed _run_unit calls on a 2-vCPU VM, made in two rounds
-    on runs of consecutive primes spread over 7 < p < 10**6, for five
-    mixes: all nine theorems over the default q, mordell alone, eq2_parity
-    alone, t1 at q = 3, and eq_a with t2 at q = 7, 11, 19, 23, 31.  The
-    model gave 0.53-1.4 times the measured time for 90% of the calls, and
-    0.6-1.45 times for the mix of all nine theorems."""
+    on 24 units spread over 7 < p < 10**6 for each of five mixes: all nine
+    theorems over the default q, mordell alone, eq2_parity alone, t1 at
+    q = 3, and eq_a with t2 at q = 7, 11, 19, 23, 31.  The model gave
+    0.62-1.27 times the measured time for 90% of the calls, and 0.86-1.44
+    times for the mix of all nine theorems (rms relative error 0.21).  A
+    fourth term per batch of the tree, 0.2 ms * min(1, h/BATCH_LEAVES) for
+    the batch's widest h, fitted only slightly better (rms 0.20, 0.65-1.23
+    and 0.84-1.38), so the model keeps three terms."""
     skipped: dict[str, int] = {tid: 0 for tid in config.theorems}
     below = np.array(primes_matching(config.p_max), dtype=np.int64)
     work: list[list[tuple[str, int | None]]] = [[] for _ in range(below.size)]
     verdicts = np.zeros(below.size, dtype=np.int64)
     tree = np.zeros(below.size, dtype=bool)
     index = np.zeros(below.size, dtype=bool)
-    for tid in config.theorems:
+    # in report order: by q, None first, then by theorem
+    pairs = sorted(((tid, q) for tid in config.theorems for q in _resolved_q(config, tid)),
+                   key=lambda pair: (-1 if pair[1] is None else pair[1], pair[0]))
+    for pair in pairs:
+        tid, q = pair
         regime = REGIMES[tid]
-        for q in _resolved_q(config, tid):
-            if regime_q_reason(tid, q) is not None:
-                skipped[tid] += 1
-                continue
-            classes, min_p = regime.p_classes(q)
-            keep = np.flatnonzero(np.logical_and.reduce(
-                [below > min_p] + [below % m == r for m, r in classes]))
-            pair = (tid, q)
-            for i in keep.tolist():
-                work[i].append(pair)
-            verdicts[keep] += 1
-            tree[keep] |= regime.blocks
-            index[keep] |= regime.counts
+        if regime_q_reason(tid, q) is not None:
+            skipped[tid] += 1
+            continue
+        classes, min_p = regime.p_classes(q)
+        keep = np.flatnonzero(np.logical_and.reduce(
+            [below > min_p] + [below % m == r for m, r in classes]))
+        for i in keep.tolist():
+            work[i].append(pair)
+        verdicts[keep] += 1
+        tree[keep] |= regime.blocks
+        index[keep] |= regime.counts
     cost = (LEAF_S * tree * ((below - 1) // 2) + MARK_S * index * below
             + VERDICT_S * verdicts).tolist()
     primes = below.tolist()

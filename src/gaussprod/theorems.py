@@ -1,12 +1,14 @@
 """Verifiers for the quadratic-residue claims about block partial products.
 
-Each claim's body, in _VERIFIERS, takes a loaded PrimeContext and a q in the
-claim's regime, computes both sides independently from the context, and
-returns a Verdict whose ``passed`` flag is exactly ``predicted == computed``.
-verify, behind every verify_*(p, q), checks the regime once and loads the
-context; a scan loads its batches itself.  Out-of-regime inputs raise
-RegimeError so sweep drivers can tell "not applicable" apart from "refuted".
-REGIMES states each claim's hypotheses once, for verify and the scan alike.
+Each claim's body, in _VERIFIERS, takes a PrimeContext whose verdict
+inputs inputs._load_unit has computed, in one vectorised pass over a unit
+of primes, and a q in the claim's regime; it adds the side that rests on
+h(-p) or on the norm-form representation, and returns a Verdict whose
+``passed`` flag is exactly ``predicted == computed``.  verify, behind
+every verify_*(p, q), checks the regime once and loads a unit of one row;
+a scan loads its units itself.  Out-of-regime inputs raise RegimeError so
+sweep drivers can tell "not applicable" apart from "refuted".  REGIMES
+states each claim's hypotheses once, for verify and the scan alike.
 """
 
 from __future__ import annotations
@@ -14,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .classnum import _dirichlet, _representation, square_subgroup
+from .classnum import _representation
 from .context import PrimeContext
 from .errors import RegimeError
-from .products import (_cuts, _enlarged_index, _product, load_block_counts,
-                       load_block_tables, selected_block_indices)
+from .inputs import _load_unit
+from .products import _enlarged_index, selected_block_indices
 from .verdict import Verdict, _exact, make_verdict
 
 __all__ = [
@@ -50,7 +52,8 @@ class Regime:
     n = q blocks (n = 2, the halves, for a claim without q); equal and
     floor-cut blocks share that table, as their cuts coincide when n | p - 1.
     counts says whether it reads the residue counts of those blocks
-    (block_counts), which build p's residue index.
+    (block_counts), which build p's residue index, and class_number whether
+    it reads h(-p).
     """
 
     p_mod_q: int | None
@@ -59,6 +62,7 @@ class Regime:
     q_mod_4: int | None = None
     blocks: bool = True
     counts: bool = False
+    class_number: bool = False
 
     def p_classes(self, q: int | None) -> tuple[list[tuple[int, int]], int]:
         """The (modulus, residue) classes p must lie in, and the strict
@@ -70,14 +74,15 @@ class Regime:
 
 
 REGIMES = {
-    "mordell": Regime(p_mod_q=None, p_mod_4=3),
+    "mordell": Regime(p_mod_q=None, p_mod_4=3, class_number=True),
     "t1": Regime(p_mod_q=1, p_mod_4=3),
     "corollary": Regime(p_mod_q=1, p_mod_4=3),
     "eq_a": Regime(p_mod_q=1, p_mod_4=None, q_min=5, q_mod_4=3),
     "t2": Regime(p_mod_q=1, p_mod_4=3, q_mod_4=3),
-    "t3": Regime(p_mod_q=2, p_mod_4=3),
-    "t4": Regime(p_mod_q=3, p_mod_4=3, q_min=5, counts=True),
-    "eq2_parity": Regime(p_mod_q=1, p_mod_4=3, blocks=False, counts=True),
+    "t3": Regime(p_mod_q=2, p_mod_4=3, class_number=True),
+    "t4": Regime(p_mod_q=3, p_mod_4=3, q_min=5, counts=True, class_number=True),
+    "eq2_parity": Regime(p_mod_q=1, p_mod_4=3, blocks=False, counts=True,
+                         class_number=True),
     "symmetry": Regime(p_mod_q=1, p_mod_4=3),
 }
 
@@ -98,29 +103,6 @@ def regime_q_reason(theorem_id: str, q: int | None) -> str | None:
     return None
 
 
-def _block_layout(theorem_id: str, q: int | None) -> int:
-    """The number n of blocks whose table a claim with Regime.blocks reads
-    at (p, q)."""
-    return 2 if REGIMES[theorem_id].p_mod_q is None else q
-
-
-def _load_work(batch) -> None:
-    """Load what the bodies of a batch of (ctx, ((theorem_id, q), ...))
-    pairs read: every block table of the batch in one query, then every
-    block count in another.  Called before any body runs, so that h(-p) is
-    read from the residue index instead of streamed at a prime whose counts
-    build it anyway."""
-    load_block_tables([(ctx, [_block_layout(tid, q) for tid, q in work if REGIMES[tid].blocks])
-                       for ctx, work in batch])
-    load_block_counts([(ctx, [q for tid, q in work if REGIMES[tid].counts])
-                       for ctx, work in batch])
-
-
-def _selected_product(ctx: PrimeContext, q: int) -> int:
-    """theorem1_product(ctx.p, q) from ctx's table of q blocks."""
-    return _product([ctx.tables[q].values[k - 1] for k in selected_block_indices(q)], ctx.p)
-
-
 def verify_mordell(p: int, q: int | None = None) -> Verdict:
     """((p-1)/2)! == (-1)**((1 + h(-p))/2) (mod p) for primes p == 3 (mod 4),
     p > 3; the claim takes no q, so q is ignored."""
@@ -128,9 +110,7 @@ def verify_mordell(p: int, q: int | None = None) -> Verdict:
 
 
 def _mordell(ctx: PrimeContext, q: None) -> Verdict:
-    half_fact = ctx.tables[2].values[0]
-    computed = {1: 1, ctx.p - 1: -1}.get(half_fact, half_fact)
-    h = _dirichlet(ctx).h
+    half_fact, computed, h = ctx.inputs["mordell", q]
     predicted = -1 if ((1 + h) // 2) % 2 else 1
     return make_verdict("mordell", ctx.p, None, predicted, computed,
                         detail=f"((p-1)/2)! = {half_fact} mod p, h(-p) = {h}")
@@ -142,9 +122,8 @@ def verify_theorem1(p: int, q: int) -> Verdict:
 
 
 def _t1(ctx: PrimeContext, q: int) -> Verdict:
-    value = _selected_product(ctx, q)
-    return make_verdict("t1", ctx.p, q, 1, ctx.legendre(value),
-                        detail=f"selected product = {value}")
+    value, sym = ctx.inputs["t1", q]
+    return make_verdict("t1", ctx.p, q, 1, sym, detail=f"selected product = {value}")
 
 
 def verify_corollary(p: int, q: int) -> Verdict:
@@ -153,11 +132,8 @@ def verify_corollary(p: int, q: int) -> Verdict:
 
 
 def _corollary(ctx: PrimeContext, q: int) -> Verdict:
-    values = ctx.tables[q].values
-    ks = selected_block_indices(q)
-    syms = [ctx.legendre(values[k - 1]) for k in ks]
-    parity = sum(1 for s in syms if s < 0) % 2
-    detail = " ".join(f"k={k}:{s:+d}" for k, s in zip(ks, syms))
+    syms, parity = ctx.inputs["corollary", q]
+    detail = " ".join(f"k={k}:{s:+d}" for k, s in zip(selected_block_indices(q), syms))
     if q == 7:
         # the selected set is {1, 3}, so even parity means equal symbols
         detail += f"; pair ({syms[0]:+d},{syms[1]:+d})"
@@ -172,21 +148,11 @@ def verify_eq_a(p: int, q: int) -> Verdict:
 
 def _eq_a(ctx: PrimeContext, q: int) -> Verdict:
     p = ctx.p
+    rhs, beta = ctx.inputs["eq_a", q]
     rep = _representation(ctx, q)
-    lhs = ctx.legendre(rep.a)
-    sub = square_subgroup(q)
-    # acc runs through the block factorials c_i!, i = 1..q-1
-    acc = val = 1
-    for i, v in enumerate(ctx.tables[q].values[:-1], start=1):
-        acc = acc * v % p
-        if q - i in sub.squares:
-            val = val * acc % p
-    if int(sub.beta) % 2:
-        val = p - val
-    rhs = ctx.legendre(val)
     return make_verdict(
-        "eq_a", p, q, lhs, rhs,
-        detail=f"a={rep.a} b={rep.b} h(-q)={rep.h} beta={int(sub.beta)} p%4={p % 4}")
+        "eq_a", p, q, ctx.legendre(rep.a), rhs,
+        detail=f"a={rep.a} b={rep.b} h(-q)={rep.h} beta={beta} p%4={p % 4}")
 
 
 def verify_theorem2(p: int, q: int) -> Verdict:
@@ -197,17 +163,10 @@ def verify_theorem2(p: int, q: int) -> Verdict:
 
 
 def _t2(ctx: PrimeContext, q: int) -> Verdict:
-    p = ctx.p
+    bridge, = ctx.inputs["t2", q]
     rep = _representation(ctx, q)
     predicted_sym = -1 if ((q + 1) // 4) % 2 else 1
-    computed_sym = ctx.legendre(rep.a)
-    s_selected = ctx.legendre(_selected_product(ctx, q))
-    acc = val = 1
-    for v in ctx.tables[q].values[:(q - 1) // 2]:
-        acc = acc * v % p
-        val = val * acc % p
-    bridge = 1 if s_selected == ctx.legendre(val) else 0
-    return make_verdict("t2", p, q, (predicted_sym, 1), (computed_sym, bridge),
+    return make_verdict("t2", ctx.p, q, (predicted_sym, 1), (ctx.legendre(rep.a), bridge),
                         detail=f"a={rep.a} b={rep.b} h(-q)={rep.h}")
 
 
@@ -219,10 +178,7 @@ def verify_theorem3(p: int, q: int) -> Verdict:
 
 
 def _t3(ctx: PrimeContext, q: int) -> Verdict:
-    p = ctx.p
-    value = _selected_product(ctx, q)
-    sym = ctx.legendre(value)
-    h = _dirichlet(ctx).h
+    value, sym, sizes_ok, h = ctx.inputs["t3", q]
     qm = q % 16
     if qm in (1, 15):
         predicted_sym = 1
@@ -232,11 +188,7 @@ def _t3(ctx: PrimeContext, q: int) -> Verdict:
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
     else:
         predicted_sym = -1 if (1 + (h + 1) // 2) % 2 else 1
-    base, center = (p - 2) // q, (q + 1) // 2
-    cuts = _cuts(p, q)
-    sizes_ok = 1 if [hi - lo for lo, hi in zip(cuts, cuts[1:])] == (
-        [base] * (center - 1) + [base + 1] + [base] * (q - center)) else 0
-    return make_verdict("t3", p, q, (predicted_sym, 1), (sym, sizes_ok),
+    return make_verdict("t3", ctx.p, q, (predicted_sym, 1), (sym, sizes_ok),
                         detail=f"product={value} h(-p)={h} q%16={qm}")
 
 
@@ -249,32 +201,21 @@ def verify_theorem4(p: int, q: int) -> Verdict:
 
 def _t4(ctx: PrimeContext, q: int) -> Verdict:
     p = ctx.p
-    value = _selected_product(ctx, q)
-    sym = ctx.legendre(value)
-    counts = ctx.counts[q]
-    h = _dirichlet(ctx).h
+    value, sym, sizes_ok, rhs, s, h = ctx.inputs["t4", q]
     qm = q % 12
     if qm in (1, 11):
         predicted_sym = 1
     else:
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
-    base = (p - 3) // q
-    kstar = _enlarged_index(q)
-    enlarged = {kstar, q + 1 - kstar}
-    sizes_ok = 1 if all(r + n == base + (k in enlarged) for k, r, n in
-                        zip(range(1, q + 1), counts.residues, counts.nonresidues)) else 0
-    # block k <= (q-1)/2 weighs (q+1)/2 - k
-    rhs = sum(n * w for n, w in zip(counts.nonresidues, range((q - 1) // 2, 0, -1)))
     jq3 = (0, 1, -1)[q % 3]     # (q|3)
     # rhs == (q*q-1)/8 * (p-3)/(2q) + (q-(q|3))/12 - (q-(q|p))*h/4, times 48q
-    lhs = (3 * (q * q - 1) * (p - 3) + 4 * q * (q - jq3)
-           - 12 * q * (q - ctx.legendre(q)) * h)
+    lhs = 3 * (q * q - 1) * (p - 3) + 4 * q * (q - jq3) - 12 * q * (q - s) * h
     identity_ok = 1 if 48 * q * rhs == lhs else 0
     reduced = (q - jq3) * (1 - 3 * h)
     parity_ok = 1 if reduced % 12 == 0 and (rhs - reduced // 12) % 2 == 0 else 0
     return make_verdict("t4", p, q, (predicted_sym, 1, 1, 1),
                         (sym, sizes_ok, identity_ok, parity_ok),
-                        detail=f"product={value} h(-p)={h} q%12={qm} k*={kstar}")
+                        detail=f"product={value} h(-p)={h} q%12={qm} k*={_enlarged_index(q)}")
 
 
 def verify_eq2_parity(p: int, q: int) -> Verdict:
@@ -284,19 +225,11 @@ def verify_eq2_parity(p: int, q: int) -> Verdict:
 
 
 def _eq2_parity(ctx: PrimeContext, q: int) -> Verdict:
-    counts = ctx.counts[q]
-    h = _dirichlet(ctx).h
-    s = ctx.legendre(q)
-    # block k <= (q-1)/2 weighs (q+1)/2 - k
-    rows = list(zip(counts.residues, counts.nonresidues, range((q - 1) // 2, 0, -1)))
-    rhs_diff = sum((r - n) * w for r, n, w in rows)
-    rhs_nonres = sum(n * w for _, n, w in rows)
-    parity = sum(n for _, n, w in rows if w % 2) % 2
+    rhs_diff, rhs_nonres, parity, s, h = ctx.inputs["eq2_parity", q]
     # (q-s)*h/2, and (q*q-1)/8 * (p-1)/(2q) - (q-s)*h/4 over 16q
     predicted = (_exact((q - s) * h, 2),
                  _exact((q * q - 1) * (ctx.p - 1) - 4 * q * (q - s) * h, 16 * q), 0)
-    computed = (rhs_diff, rhs_nonres, parity)
-    return make_verdict("eq2_parity", ctx.p, q, predicted, computed,
+    return make_verdict("eq2_parity", ctx.p, q, predicted, (rhs_diff, rhs_nonres, parity),
                         detail=f"h(-p)={h} (q|p)={s:+d}")
 
 
@@ -310,15 +243,8 @@ def verify_symmetry(p: int, q: int) -> Verdict:
 
 
 def _symmetry(ctx: PrimeContext, q: int) -> Verdict:
-    table = ctx.tables[q]
-    vals = table.values
-    mismatches = sum(a != b for a, b in zip(vals, reversed(vals)))
-    central_value = vals[(q + 1) // 2 - 1]
-    central = ctx.legendre(central_value)
-    full = table.full_product()
-    wilson = ctx.legendre(full)
-    return make_verdict("symmetry", ctx.p, q, (0, -1, -1),
-                        (mismatches, central, wilson),
+    mismatches, central_value, central, full, wilson = ctx.inputs["symmetry", q]
+    return make_verdict("symmetry", ctx.p, q, (0, -1, -1), (mismatches, central, wilson),
                         detail=f"central={central_value} full={full}")
 
 
@@ -332,7 +258,8 @@ THEOREM_IDS = tuple(sorted(_VERIFIERS))
 def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
     """Dispatch one check by id; see THEOREM_IDS for the valid names.  A
     claim that takes no q ignores it.  The regime is checked once, then p's
-    context is loaded as a scan loads it and the claim's body runs on it."""
+    inputs are loaded as a unit of one row and the claim's body runs on
+    them."""
     if theorem_id not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"valid: {', '.join(THEOREM_IDS)}")
@@ -349,5 +276,5 @@ def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
         ctx = PrimeContext(p)
     except ValueError as exc:
         raise RegimeError(f"{theorem_id}: {exc}") from None
-    _load_work([(ctx, [(theorem_id, q)])])
+    list(_load_unit([[(ctx, [(theorem_id, q)])]], REGIMES))
     return _VERIFIERS[theorem_id](ctx, q)

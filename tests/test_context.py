@@ -550,3 +550,31 @@ def test_scan_and_verify_call_budget(monkeypatch):
         assert verify(tid, row.p, row.q) == row
         assert dict(bodies) == {tid: 1}, tid
         assert len(tested) <= 2, (tid, tested)
+
+
+def test_scan_tests_no_sieved_prime(monkeypatch):
+    # the scan's primes come from the sieve, so only q meets is_prime: each
+    # q once per theorem that takes one (the regime), and once more where a
+    # body's cached helper first sees it; PrimeContext(p) still tests p
+    tested = []
+    is_prime = arith.is_prime
+
+    def testing(n):
+        tested.append(n)
+        return is_prime(n)
+
+    for name, module in list(sys.modules.items()):
+        if name == "gaussprod" or name.startswith("gaussprod."):
+            for key, value in list(vars(module).items()):
+                if value is is_prime:
+                    monkeypatch.setattr(module, key, testing)
+    config = ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1)
+    report = run_scan(config)
+    qs = _resolved_q(config, "t1")
+    primes = {v.p for v in report.verdicts}
+    assert max(primes) > max(qs)
+    assert set(tested) <= set(qs), sorted(set(tested) - set(qs))
+    assert len(tested) <= (len(THEOREM_IDS) + 1) * len(qs)
+    tested.clear()
+    PrimeContext(1999)
+    assert tested == [1999]

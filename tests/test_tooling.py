@@ -50,6 +50,19 @@ def test_benchmark_correctness_gate_passes():
         assert run.check_sample(workload, 0, res, expected) == [], workload
 
 
+def test_traced_samples_pass_the_correctness_gate(tmp_path):
+    # one traced sample of each workload, whose tracer counts every body call
+    # through theorems._VERIFIERS against the totals; the spans go to tmp_path
+    run = _load_perfbench("run")
+    expected = json.loads(run.EXPECTED_PATH.read_text(encoding="utf-8"))
+    for workload, workers in (("sweep", 1), ("representation", 1), ("point_queries", None)):
+        spec = run.make_spec(workload, 0, True, workers)
+        spec["spans_path"] = str(tmp_path / f"spans-{workload}.tsv")
+        res = run.run_sample(spec, time.monotonic())
+        assert "layers" in res, workload
+        assert run.check_sample(workload, 0, res, expected) == [], workload
+
+
 def test_public_names_resolve():
     # __main__ is skipped: importing it runs the command line
     modules = [gaussprod] + [importlib.import_module(f"gaussprod.{info.name}")
