@@ -9,11 +9,12 @@ a prime p == 3 (mod 4):
 * a direct count of reduced primitive binary quadratic forms of
   discriminant -p.
 
-Dirichlet and Lemma 1 both read the nonzero squares mod p.  Where the
-context has built its residue index (a scan prime with block counts),
-Dirichlet reads the count of residues <= (p-1)/2 from it; elsewhere it
-streams floor(j*j/p) over j = 1..(p-1)/2 (`PrimeContext.square_floor_sum`),
-in O(2**16) memory.  Lemma 1 sums floor(r*q/p) over the stream of j*j mod p
+Dirichlet and Lemma 1 both read the nonzero squares mod p.  A Dirichlet
+query streams floor(j*j/p) over j = 1..(p-1)/2
+(`PrimeContext.square_floor_sum`), in O(2**16) memory.  A scan does too,
+except at a prime whose block counts it reads: there it takes h(-p) from
+the count of residues <= (p-1)/2 in the residue index it built for them
+(_half_interval_h).  Lemma 1 sums floor(r*q/p) over the stream of j*j mod p
 (`context._square_chunks`), which gives every nonzero square once.  A fault
 in j*j could move both alike.  The independent checks are the forms count,
 which shares nothing with them beyond the primality test, and the naive
@@ -63,40 +64,35 @@ def _discriminant_context(p: int) -> PrimeContext:
 
 
 def class_number_dirichlet(p: int) -> ClassNumberResult:
-    """h(-p) for p == 3 (mod 4), p >= 7, by Dirichlet's class number formula.
+    """h(-p) for p == 3 (mod 4), p >= 7, by Dirichlet's class number formula
+    in its first moment: the sum of a*(a|p) over 0 < a < p is -p*h(-p).  As
+    j runs over 1..h', h' = (p-1)/2, j*j - p*floor(j*j/p) gives each residue
+    once, residues and nonresidues together sum to p*h' and 2h' + 1 = p, so
 
-    Where p's residue index is built, from the half-interval sum: h(-p) is
-    (sum of (a|p) over 0 < a < p/2) / (2 - (2|p)), and that sum is 2R - h'
-    with h' = (p-1)/2 and R the number of residues <= h'.  Elsewhere from
-    the first moment, the sum of a*(a|p) over 0 < a < p, which is -p*h(-p):
-    as j runs over 1..h', j*j - p*floor(j*j/p) gives each residue once,
-    residues and nonresidues together sum to p*h' and 2h' + 1 = p, so
+        h(-p) = h' - h'(h' + 1)/3 + 2*(sum of floor(j*j/p) over j <= h'),
 
-        h(-p) = h' - h'(h' + 1)/3 + 2*(sum of floor(j*j/p) over j <= h').
+    the sum streamed in O(2**16) memory.  A scan that has built p's residue
+    index takes the half-interval sum instead (_half_interval_h).
     """
     return _dirichlet(_discriminant_context(p))
 
 
 def _dirichlet(ctx: PrimeContext) -> ClassNumberResult:
-    """class_number_dirichlet(ctx.p), kept in ctx.class_number."""
-    if ctx.class_number is None:
-        p, half = ctx.p, (ctx.p - 1) // 2
-        if ctx.residue_index is not None:
-            h = int(_half_interval_h(np.array([p]), ctx.residue_counts([half]),
-                                     np.array([ctx.legendre(2)]))[0])
-        else:
-            h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
-            if h < 1:
-                raise InternalCheckError(f"nonpositive class number {h} at p={p}")
-        ctx.class_number = ClassNumberResult(p=p, h=h, method="dirichlet")
-    return ctx.class_number
+    """class_number_dirichlet(ctx.p), streamed."""
+    p, half = ctx.p, (ctx.p - 1) // 2
+    h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
+    if h < 1:
+        raise InternalCheckError(f"nonpositive class number {h} at p={p}")
+    return ClassNumberResult(p=p, h=h, method="dirichlet")
 
 
 def _half_interval_h(p: np.ndarray, residues: np.ndarray, two: np.ndarray) -> np.ndarray:
     """h(-p) elementwise for int64 columns of primes p == 3 (mod 4), p > 3,
-    the residues R in 1..(p-1)/2 of each and the symbols (2|p), as
-    (2R - (p-1)/2) / (2 - (2|p)); InternalCheckError, naming its p, at the
-    first p whose sum is not divisible or whose h is not positive."""
+    the residues R in 1..(p-1)/2 of each and the symbols (2|p), by the
+    half-interval sum of Dirichlet's formula: (sum of (a|p) over
+    0 < a < p/2) / (2 - (2|p)), where that sum is 2R - (p-1)/2.
+    InternalCheckError, naming its p, at the first p whose sum is not
+    divisible or whose h is not positive."""
     char_sum = 2 * residues - p // 2
     denom = 2 - two
     h = char_sum // denom

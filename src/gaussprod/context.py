@@ -1,13 +1,11 @@
-"""Per-prime state: one PrimeContext holds everything derived from a prime p.
+"""Per-prime state: one PrimeContext holds what the verifiers read at a prime p.
 
-A context validates p, unless a scan builds it for a prime from the sieve
-(PrimeContext._sieved), and is otherwise a plain record.  Its residue
-index, block tables, block counts, h(-p), representations and verdict
-inputs start empty; each is filled by its loader (load_residue_indexes
-here, products, classnum and inputs for the rest), which takes a batch of
-primes.  A single query is a batch of one.  A scan keeps no tables or
-counts in its contexts: inputs._load_unit reads them as flat arrays and
-keeps only each verdict's inputs.
+A context validates p (_check_prime), unless a scan builds it for a prime
+from the sieve (PrimeContext._sieved), and is otherwise a plain record of
+p, the representations of p per q (filled by classnum) and each verdict's
+inputs (filled by inputs._load_unit).  Block tables and block counts are
+no context's: the flat kernels of products read them for a batch of
+primes, and a public single query is a batch of one.
 
 Block products come from a product tree of the lower half 1..(p-1)/2
 (Bernstein, "Fast multiplication and its applications", 2008), built for a
@@ -21,11 +19,11 @@ tree is about 2p bytes.  No context holds a tree: it lives in one kept
 array, rebuilt by every query.
 
 The residue index is a bitmap of the nonzero squares mod p, 64 to a word,
-with a rank directory of the set bits before each word: p/4 bytes kept, a
-count in two gathers and a popcount.  Like the tree it is built for a
-batch of primes at once (load_residue_indexes), one row per prime, and
-each context keeps its row; products reads every block count of a batch
-from one gather over the rows.
+with a rank directory of the set bits before each word: p/4 bytes, a
+count in two gathers and a popcount (_set_bits_through).  Like the tree it
+is built for a batch of primes at once (_residue_indexes), one row per
+prime, and lives only as long as the products call that reads every block
+count of the batch from one gather over the rows.
 
 Two kernels fork on one row, each for a measured reason: the tree reduces
 it by _reduce, which avoids hardware division (0.25 against 0.61 ms for a
@@ -36,8 +34,9 @@ j = 1..(p-1)/2 in chunks of 2**16, into a p-byte mark array instead of a
 (classnum) and square_floor_sum (Dirichlet's h(-p)) stream the same way in
 O(2**16) memory at every p < 2**31.
 
-No context outlives its query: a public single query builds its own,
-loads it and drops it, and a scan hands its contexts to the verifiers.
+No context outlives its query: a public single query that needs one
+builds its own and drops it, and a scan hands its contexts to the
+verifiers.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from .arith import is_prime
 
-__all__ = ["P_LIMIT", "PrimeContext", "half_products", "load_residue_indexes"]
+__all__ = ["P_LIMIT", "PrimeContext", "half_products"]
 
 # int64 stays exact for products of two residues and for j*j below this bound
 P_LIMIT = 1 << 31
@@ -59,16 +58,20 @@ P_LIMIT = 1 << 31
 INT32_LIMIT = 46341
 
 
+def _check_prime(p: int) -> None:
+    """ValueError unless p is an odd prime below 2**31."""
+    if p >= P_LIMIT:
+        raise ValueError(f"p must be below 2**31, got {p}")
+    if p < 3 or p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 class PrimeContext:
-    """Per-prime state for an odd prime p < 2**31: the residue index, block
-    tables, block counts, h(-p) and representations of p, each empty until
-    its loader fills it."""
+    """Per-prime state for an odd prime p < 2**31: the representations of p
+    and the verdict inputs at p, each empty until its loader fills it."""
 
     def __new__(cls, p: int):
-        if p >= P_LIMIT:
-            raise ValueError(f"p must be below 2**31, got {p}")
-        if p < 3 or p % 2 == 0 or not is_prime(p):
-            raise ValueError(f"p must be an odd prime, got {p}")
+        _check_prime(p)
         return super().__new__(cls)
 
     @classmethod
@@ -81,27 +84,11 @@ class PrimeContext:
 
     def __init__(self, p: int) -> None:
         self.p = p
-        # (words, rank): bit x of the little-endian uint64 words is set when
-        # x is a nonzero square mod p, and rank[w] counts the set bits in
-        # words[:w]; p/4 bytes, filled by load_residue_indexes
-        self.residue_index: tuple[np.ndarray, np.ndarray] | None = None
-        # n -> PartialProductTable of the n blocks cut at floor(k*p/n),
-        # for equal and floor-cut blocks alike; filled by products
-        self.tables: dict = {}
-        # n -> BlockCounts of the same n blocks, filled by products
-        self.counts: dict = {}
-        # h(-p) by Dirichlet's sum, a ClassNumberResult filled by classnum
-        self.class_number = None
         # q -> Representation of 4*p**h(-q), filled by classnum
         self.representations: dict = {}
         # (theorem_id, q) -> the inputs of that claim's verdict at p, filled
         # by inputs._load_unit
         self.inputs: dict = {}
-
-    def residue_counts(self, x) -> np.ndarray:
-        """How many quadratic residues lie in 1..x, elementwise for 0 <= x < p,
-        from the loaded index: x's word's rank plus its set bits up to bit x."""
-        return _set_bits_through(*self.residue_index, np.asarray(x, dtype=np.int64))
 
     def square_floor_sum(self) -> int:
         """The sum of floor(j*j/p) over j = 1..(p-1)/2, in chunks of 2**16
@@ -289,8 +276,9 @@ def _square_chunks(p: int):
 
 def _residue_indexes(primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """(words, rank) of the residue indexes of a batch of primes, one row
-    per prime, each row as PrimeContext.residue_index, padded with zero
-    words to the widest prime.
+    per prime, padded with zero words to the widest prime: bit x of a row's
+    little-endian uint64 words is set when x is a nonzero square mod its p,
+    and rank[w] counts the set bits in words[:w].
 
     A one-row batch marks _square_chunks in a p-byte array padded to whole
     words: a build peak near 1.25p bytes.  A batch of several takes j*j mod
@@ -320,13 +308,4 @@ def _residue_indexes(primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
     rank = np.zeros(words.shape, dtype=np.int64)
     np.cumsum(np.bitwise_count(words[:, :-1]), axis=1, out=rank[:, 1:])
     words.flags.writeable = rank.flags.writeable = False
-    return words, rank
-
-
-def load_residue_indexes(contexts) -> tuple[np.ndarray, np.ndarray]:
-    """Build the residue indexes of a batch of contexts in one pass, hand
-    each context its row, and return the batch's (words, rank)."""
-    words, rank = _residue_indexes([ctx.p for ctx in contexts])
-    for ctx, row_words, row_rank in zip(contexts, words, rank):
-        ctx.residue_index = row_words, row_rank
     return words, rank

@@ -8,13 +8,13 @@ length (p - 1)/n.  One table per (p, n) therefore serves both families;
 they differ only in what they require, n | p - 1 for the equal (plain)
 blocks and an odd prime n = q < p for the floor-cut (generalized) ones.
 Every layout is mirror-symmetric, c_(n-k) = p-1-c_k, so a table is computed
-from its lower half, which lies in 1..(p-1)/2 (see load_block_tables).
+from its lower half, which lies in 1..(p-1)/2 (see _block_values).
 
 _block_values and _block_counts take many layouts of many primes as flat
 arrays, in batches that share a tree or a residue index, with every cut
-k*p//n from numpy; a scan's pass (inputs._load_unit) reads them so, and
-load_block_tables and load_block_counts build their PartialProductTable
-and BlockCounts objects from the same arrays.
+k*p//n from numpy.  A scan's pass (inputs._load_unit) reads them so, and
+a public query is a one-row batch of one layout, wrapped in a
+PartialProductTable or BlockCounts.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ import numpy as np
 
 from .arith import is_prime
 from . import context
-from .context import PrimeContext, _set_bits_through, half_products, load_residue_indexes
+from .context import _check_prime, _set_bits_through, half_products
 
 __all__ = [
     "BlockCounts",
     "PartialProductTable",
     "block_counts",
     "generalized_partial_products",
-    "load_block_counts",
-    "load_block_tables",
     "partial_products",
     "residue_cumulative_counts",
     "residue_mask",
@@ -44,7 +42,8 @@ __all__ = [
 
 
 def _check_layout(p: int, n: int, generalized: bool) -> None:
-    """ValueError unless the chosen family of n blocks is defined at p."""
+    """ValueError unless the chosen family of n blocks is defined at p and
+    p is an odd prime below 2**31."""
     if generalized:
         if n < 3 or n % 2 == 0 or not is_prime(n):
             raise ValueError(f"q must be an odd prime, got {n}")
@@ -52,11 +51,7 @@ def _check_layout(p: int, n: int, generalized: bool) -> None:
             raise ValueError(f"q must be smaller than p, got p={p}, q={n}")
     elif n < 2 or (p - 1) % n:
         raise ValueError(f"n must be >= 2 and divide p - 1, got p={p}, n={n}")
-
-
-def _cuts(p: int, n: int) -> list[int]:
-    """The n + 1 cut points c_0..c_n of n blocks of 1..p-1."""
-    return [k * p // n for k in range(n)] + [p - 1]
+    _check_prime(p)
 
 
 @dataclass(frozen=True)
@@ -85,51 +80,13 @@ def _product(values, p: int) -> int:
     return acc
 
 
-def load_block_tables(batch) -> list[list[PartialProductTable]]:
-    """For each (ctx, sizes) in batch, the table of n blocks of ctx.p for
-    every n in sizes, kept in ctx.tables.
-
-    Sizes are taken as valid; the tables the contexts lack are computed
-    together, from one query of the trees of 1..h, h = (p-1)/2, one row per
-    context that lacks any.  With m = n // 2, the cuts c_0..c_m lie in 0..h
-    and c_(n-k) = p-1-c_k, since n does not divide k*p for 0 < k < n.  So,
-    by Wilson (h!**2 == (-1)**(h+1) mod p) and j == -(p - j):
-
-    - block k <= m is c_k! / c_(k-1)! == (-1)**(h+1) h! P(c_k) S(c_(k-1)+1);
-    - block n+1-k is block k times (-1)**(c_k - c_(k-1));
-    - for odd n, the central block is (-1)**(h - c_m) S(c_m + 1)**2,
-
-    with P and S the two walks of context.half_products (_block_values).
-    """
-    batch = [(ctx, list(sizes)) for ctx, sizes in batch]
-    todo = [(ctx, [n for n in dict.fromkeys(sizes) if n not in ctx.tables])
-            for ctx, sizes in batch]
-    todo = [(ctx, missing) for ctx, missing in todo if missing]
-    if todo:
-        _fill_tables(todo)
-    return [[ctx.tables[n] for n in sizes] for ctx, sizes in batch]
-
-
-def _fill_tables(todo) -> None:
-    """Compute the missing tables of load_block_tables, one tree row per
-    context."""
-    ns = np.array([n for _, missing in todo for n in missing])
-    rows = np.repeat(np.arange(len(todo)), [len(missing) for _, missing in todo])
-    values = _block_values([ctx.p for ctx, _ in todo], rows, ns, [len(todo)]).tolist()
-    i = 0
-    for ctx, missing in todo:
-        for n in missing:
-            ctx.tables[n] = PartialProductTable(p=ctx.p, n=n, values=tuple(values[i:i + n]))
-            i += n
-
-
 def _distinct(a: np.ndarray) -> np.ndarray:
     """The distinct entries of an ascending array."""
     return a if a.size < 2 else a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-# the walk points or cuts that one pass of a loader lays out at most, unless
-# one batch has more: 64 KB per int64 array
+# the walk points or cuts that one pass of _block_values or _block_counts
+# lays out at most, unless one batch has more: 64 KB per int64 array
 _CHUNK = 1 << 13
 
 
@@ -174,15 +131,25 @@ def _block_values(primes: list[int], rows: np.ndarray, ns: np.ndarray, stops) ->
     i, int64, flat in the order of the layouts: block k of layout i at
     ns[:i].sum() + k - 1.
 
+    With m = n // 2, the cuts c_0..c_m lie in 0..h, h = (p-1)/2, and
+    c_(n-k) = p-1-c_k, since n does not divide k*p for 0 < k < n.  So, by
+    Wilson (h!**2 == (-1)**(h+1) mod p) and j == -(p - j):
+
+    - block k <= m is c_k! / c_(k-1)! == (-1)**(h+1) h! P(c_k) S(c_(k-1)+1);
+    - block n+1-k is block k times (-1)**(c_k - c_(k-1));
+    - for odd n, the central block is (-1)**(h - c_m) S(c_m + 1)**2,
+
+    with P and S the two walks of context.half_products.
+
     rows ascend, and the batch of rows b ends before row stops[b].  With
-    m = n // 2 and the cuts c_j = j*p//n, a layout walks m + 1 points j:
+    the cuts c_j = j*p//n, a layout walks m + 1 points j:
     P at c_(j+1) and S at c_j + 1 for j < m, which give block j + 1, and at
     j = m P at h, which gives h!, and S at c_m + 1, which gives the central
     block of odd n (clipped to h and unused for even n, where c_m = h).
     The points of a run of batches are laid out at once (_chunks); each
     batch's rows that have a layout share one tree, built for its points
     and dropped before the next batch's; then every block of the run is
-    placed at once (see load_block_tables)."""
+    placed at once."""
     p = np.array(primes, dtype=np.int64)
     return np.concatenate([p[:0]] + [_run_values(p, rows[a:b], ns[a:b], stops)
                                      for a, b in _chunks(ns // 2 + 1, rows, stops)])
@@ -218,23 +185,31 @@ def _run_values(p: np.ndarray, rows: np.ndarray, ns: np.ndarray, stops) -> np.nd
     return values[:size]
 
 
+def _table(p: int, n: int) -> PartialProductTable:
+    """The table of n blocks of p, both taken as valid, from a one-row
+    batch of _block_values."""
+    values = _block_values([p], np.array([0]), np.array([n]), [1])
+    return PartialProductTable(p=p, n=n, values=tuple(values.tolist()))
+
+
 def partial_products(p: int, n: int) -> PartialProductTable:
     """Block products for equal blocks of length (p-1)/n; needs n | p - 1."""
     _check_layout(p, n, False)
-    return load_block_tables([(PrimeContext(p), [n])])[0][0]
+    return _table(p, n)
 
 
 def generalized_partial_products(p: int, q: int) -> PartialProductTable:
     """Floor-cut block products; defined for any odd primes q < p."""
     _check_layout(p, q, True)
-    return load_block_tables([(PrimeContext(p), [q])])[0][0]
+    return _table(p, q)
 
 
 def residue_mask(p: int) -> np.ndarray:
     """Boolean array of length p: entry v is True iff v is a nonzero square
     mod p.  Unpacked from a residue index built for the call; the package
     counts residues without it."""
-    words, _ = load_residue_indexes([PrimeContext(p)])
+    _check_prime(p)
+    words, _ = context._residue_indexes([p])
     return np.unpackbits(words[0].view(np.uint8), count=p, bitorder="little").view(bool)
 
 
@@ -251,39 +226,6 @@ class BlockCounts:
     q: int
     residues: tuple[int, ...]
     nonresidues: tuple[int, ...]
-
-
-def load_block_counts(batch) -> list[list[BlockCounts]]:
-    """For each (ctx, sizes) in batch, the residue counts of the n blocks of
-    ctx.p for every n in sizes, kept in ctx.counts.
-
-    Sizes are taken as valid.  The contexts that lack some counts get their
-    indexes from one batched build, and their counts from one gather over
-    it.
-    """
-    batch = [(ctx, list(sizes)) for ctx, sizes in batch]
-    todo = [(ctx, [n for n in dict.fromkeys(sizes) if n not in ctx.counts])
-            for ctx, sizes in batch]
-    todo = [(ctx, missing) for ctx, missing in todo if missing]
-    if todo:
-        _fill_counts(todo, *load_residue_indexes([ctx for ctx, _ in todo]))
-    return [[ctx.counts[n] for n in sizes] for ctx, sizes in batch]
-
-
-def _fill_counts(todo, words: np.ndarray, rank: np.ndarray) -> None:
-    """Fill the missing counts of load_block_counts from the (words, rank)
-    of the todo contexts' indexes, one row each."""
-    ns = np.array([n for _, missing in todo for n in missing])
-    rows = np.repeat(np.arange(len(todo)), [len(missing) for _, missing in todo])
-    layout, x = _cut_points(np.array([ctx.p for ctx, _ in todo]), rows, ns)
-    counts = _set_bits_through(words.ravel(), rank.ravel(), rows[layout] * 64 * words.shape[1] + x)
-    residues, nonresidues = (c.tolist() for c in _differences(counts, x))
-    i = 0
-    for ctx, missing in todo:
-        for n in missing:
-            ctx.counts[n] = BlockCounts(p=ctx.p, q=n, residues=tuple(residues[i:i + n]),
-                                        nonresidues=tuple(nonresidues[i:i + n]))
-            i += n + 1
 
 
 def _cut_points(p: np.ndarray, rows: np.ndarray, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +256,7 @@ def _block_counts(primes: list[int], rows: np.ndarray, ns: np.ndarray,
     layout share one residue index, built for its cuts and dropped before
     the next batch's, and the cuts of a run of batches are laid out at once
     (_chunks).  The residues in 1..x at every cut x of a batch come
-    from one gather, as residue_counts takes them.  An index row is whole
+    from one gather of _set_bits_through.  An index row is whole
     words, so x of row r is bit r * 64 * words.shape[1] + x of the
     raveled words."""
     p = np.array(primes, dtype=np.int64)
@@ -337,7 +279,9 @@ def _run_counts(p: np.ndarray, rows: np.ndarray, ns: np.ndarray,
 def block_counts(p: int, q: int, generalized: bool = False) -> BlockCounts:
     """Count residues/nonresidues inside each block of 1..p-1."""
     _check_layout(p, q, generalized)
-    return load_block_counts([(PrimeContext(p), [q])])[0][0]
+    residues, nonresidues = (c[:q].tolist()
+                             for c in _block_counts([p], np.array([0]), np.array([q]), [1]))
+    return BlockCounts(p=p, q=q, residues=tuple(residues), nonresidues=tuple(nonresidues))
 
 
 @cache

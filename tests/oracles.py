@@ -40,6 +40,12 @@ def naive_block_ranges(p: int, q: int, generalized: bool):
     return [((k - 1) * m + 1, k * m) for k in range(1, q + 1)]
 
 
+def block_cuts(p: int, n: int) -> list[int]:
+    """The n + 1 cut points c_0..c_n of n blocks of 1..p-1: c_k = k*p//n
+    for k < n, and c_n = p - 1."""
+    return [k * p // n for k in range(n)] + [p - 1]
+
+
 def naive_partial_products(p: int, q: int, generalized: bool = False):
     vals = []
     for lo, hi in naive_block_ranges(p, q, generalized):

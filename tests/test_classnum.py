@@ -18,10 +18,10 @@ from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        class_number_forms, class_number_lemma1,
                        hahn_lee_representation, legendre, primes_matching,
                        square_subgroup)
-from gaussprod.classnum import (_FORMS_BLOCK, _dirichlet, _hensel_lift,
+from gaussprod.classnum import (_FORMS_BLOCK, _dirichlet, _half_interval_h, _hensel_lift,
                                 _smallest_b_associate, _sqrt_mod_prime)
-from gaussprod.context import PrimeContext, load_residue_indexes
-from gaussprod.products import residue_mask
+from gaussprod.context import PrimeContext
+from gaussprod.products import _block_counts, residue_mask
 
 from oracles import (naive_class_number, naive_class_number_dirichlet,
                      naive_is_prime, naive_legendre, naive_lemma1_sum,
@@ -84,27 +84,25 @@ def test_forms_matches_dirichlet_across_blocks():
         half = (p - 1) // 2
         assert half > 1 << 16 and half % (1 << 16), p
         h = class_number_forms(p).h
-        # Dirichlet streams on a fresh context and reads a built index
-        fresh = PrimeContext(p)
-        assert _dirichlet(fresh).h == h, p
-        assert fresh.residue_index is None, p
-        built = PrimeContext(p)
-        load_residue_indexes([built])
-        assert int(built.residue_counts(p - 1)) == half
-        assert _dirichlet(built).h == h, p
+        # Dirichlet streams, and the scan's route reads the residues of the
+        # first of n = 2 blocks, 1..(p-1)/2, from a residue index
+        ctx = PrimeContext(p)
+        assert _dirichlet(ctx).h == h, p
+        residues, _ = _block_counts([p], np.array([0]), np.array([2]), [1])
+        assert residues[0] + residues[1] == half, p
+        assert _half_interval_h(np.array([p]), residues[:1], np.array([ctx.legendre(2)])) == [h], p
         for q in (3, 97, 2**31 - 1):
             assert class_number_lemma1(p, q).h == h, (p, q)
 
 
 def test_streamed_dirichlet_matches_forms():
-    # the first-moment formula on a fresh context, which has no residue
-    # index, at every prime p == 3 (mod 4) with 7 <= p < 2e4
+    # the first-moment formula on a fresh context at every prime
+    # p == 3 (mod 4) with 7 <= p < 2e4
     for p in primes_matching(20_000, [CongruenceConstraint(4, 3)])[1:]:
         ctx = PrimeContext(p)
         half = (p - 1) // 2
         h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
         assert h == class_number_forms(p).h, p
-        assert ctx.residue_index is None, p
 
 
 BOUNDED_P = 268_435_399
@@ -137,17 +135,21 @@ def test_class_number_in_bounded_memory():
 
 def test_block_counts_in_bounded_memory():
     # the residue index at p = 268,435,399 keeps p/4 bytes, and its build
-    # peaks near 1.25p, within the 1 GiB cap; Dirichlet then reads the index
+    # peaks near 1.25p, within the 1 GiB cap; one build gives the counts of
+    # 97 blocks and of the 2 halves, and the scan's route to h(-p) reads the
+    # first half's
     p = BOUNDED_P
     run = run_capped(
-        f"from gaussprod.classnum import _dirichlet\n"
+        f"import numpy as np\n"
+        f"from gaussprod.classnum import _half_interval_h\n"
         f"from gaussprod.context import PrimeContext\n"
-        f"from gaussprod.products import load_block_counts\n"
-        f"ctx = PrimeContext({p})\n"
-        f"[[c]] = load_block_counts([(ctx, [97])])\n"
-        f"print(sum(c.residues), ctx.residue_index is not None, _dirichlet(ctx).h)")
+        f"from gaussprod.products import _block_counts\n"
+        f"res, _ = _block_counts([{p}], np.array([0, 0]), np.array([97, 2]), [1])\n"
+        f"two = np.array([PrimeContext({p}).legendre(2)])\n"
+        f"h = _half_interval_h(np.array([{p}]), res[98:99], two)[0]\n"
+        f"print(res[:97].sum(), res[98] + res[99], h)")
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == [str((p - 1) // 2), "True", "7545"]
+    assert run.stdout.split() == [str((p - 1) // 2)] * 2 + ["7545"]
 
 
 def test_three_routes_agree_near_1e7():

@@ -2,7 +2,7 @@ import gc
 import math
 import sys
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 import pytest
@@ -14,8 +14,8 @@ from gaussprod import (block_counts, class_number_dirichlet, class_number_forms,
                        class_number_lemma1, generalized_partial_products,
                        hahn_lee_representation, partial_products,
                        residue_cumulative_counts, residue_mask, theorem1_product)
-from gaussprod.context import PrimeContext, half_products, load_residue_indexes
-from gaussprod.products import load_block_counts, load_block_tables
+from gaussprod.context import PrimeContext, _set_bits_through, half_products
+from gaussprod.products import _block_counts, _block_values
 from gaussprod.scan import ScanConfig, _resolved_q, run_scan
 from gaussprod.theorems import _VERIFIERS, REGIMES, THEOREM_IDS, verify
 
@@ -34,29 +34,41 @@ def layouts_below(p):
     return qs, equal + [n for n in (2, (p - 1) // 2, p - 1) if n > 1]
 
 
+def batch_layouts(primes, sizes):
+    """(rows, ns) of every layout of a batch, as _block_values and
+    _block_counts take them: rows ascend, and sizes[r] holds the n of row
+    r's layouts."""
+    rows = np.repeat(np.arange(len(primes)), [len(ns) for ns in sizes])
+    return rows, np.array([n for ns in sizes for n in ns], dtype=np.int64)
+
+
+def per_layout(flat, ns, extra=0):
+    """The first n entries of each layout's extra + n flat entries, as a
+    list, one per n in ns."""
+    ends = list(accumulate(n + extra for n in ns))
+    return [flat[b - n - extra:b - extra].tolist() for n, b in zip(ns, ends)]
+
+
 def test_block_tables_match_naive_products(monkeypatch):
-    # every layout of one p from one query, as a one-row batch; then every
+    # every layout of one p from one call, as a one-row batch; then every
     # odd prime p < 600 as one batch, rows from h = 1 (p = 3) to h = 299,
     # odd and even h, the short rows padded with ones
     trees = []
     build = context._half_tree
     monkeypatch.setattr(context, "_half_tree", lambda primes: trees.append(primes) or build(primes))
-    want = {}
+    want, sizes = {}, []
     for p in ODD_PRIMES_600:
         qs, equal = layouts_below(p)
         want[p] = [naive_partial_products(p, q, generalized=True) for q in qs]
         want[p] += [naive_partial_products(p, n) for n in equal]
-        ctx = PrimeContext(p)
-        [tables] = load_block_tables([(ctx, qs + equal)])
-        assert [list(t.values) for t in tables] == want[p], p
-        tables_by_n = ctx.tables
-        assert sorted(tables_by_n) == sorted(set(qs + equal)), p
-        assert all(tables_by_n[n] is t for n, t in zip(qs + equal, tables)), p
+        rows, ns = batch_layouts([p], [qs + equal])
+        assert per_layout(_block_values([p], rows, ns, [1]), ns) == want[p], p
+        sizes.append(qs + equal)
     assert trees == [[p] for p in ODD_PRIMES_600]
     trees.clear()
-    batch = [(PrimeContext(p), sum(layouts_below(p), [])) for p in ODD_PRIMES_600]
-    for (ctx, _), tables in zip(batch, load_block_tables(batch)):
-        assert [list(t.values) for t in tables] == want[ctx.p], ctx.p
+    rows, ns = batch_layouts(ODD_PRIMES_600, sizes)
+    got = per_layout(_block_values(ODD_PRIMES_600, rows, ns, [len(ODD_PRIMES_600)]), ns)
+    assert got == [table for p in ODD_PRIMES_600 for table in want[p]]
     assert trees == [ODD_PRIMES_600]
 
 
@@ -64,10 +76,9 @@ def test_residue_counts_match_naive():
     for p in ODD_PRIMES_600:
         squares = {x * x % p for x in range(1, p)}
         want = list(accumulate(x in squares for x in range(p)))
-        ctx = PrimeContext(p)
-        load_residue_indexes([ctx])
-        assert ctx.residue_counts(np.arange(p)).tolist() == want, p
-        assert int(ctx.residue_counts(p - 1)) == (p - 1) // 2, p
+        words, rank = context._residue_indexes([p])
+        assert _set_bits_through(words[0], rank[0], np.arange(p)).tolist() == want, p
+        assert int(_set_bits_through(words[0], rank[0], np.array(p - 1))) == (p - 1) // 2, p
 
 
 def test_block_counts_match_naive():
@@ -84,32 +95,31 @@ def test_block_counts_match_naive():
 
 def test_block_counts_of_a_batch_match_naive(monkeypatch):
     # every odd prime p < 600 as one batch: rows from h = 1 (p = 3) to 299,
-    # and j up to 299 reaches multiples of the small p.  Each row is the
+    # and j up to 299 reaches multiples of the small p.  The batch's counts
+    # come from one index build, each row of the batch's index is the
     # one-row build padded with zero words, and every floor-cut and equal
     # layout matches the naive counts
     builds = []
     build = context._residue_indexes
     monkeypatch.setattr(context, "_residue_indexes",
                         lambda primes: builds.append(primes) or build(primes))
-    batch = [(PrimeContext(p), layouts_below(p)) for p in ODD_PRIMES_600]
-    counts = load_block_counts([(ctx, qs + equal) for ctx, (qs, equal) in batch])
+    sizes = [qs + equal for qs, equal in map(layouts_below, ODD_PRIMES_600)]
+    rows, ns = batch_layouts(ODD_PRIMES_600, sizes)
+    residues, nonresidues = _block_counts(ODD_PRIMES_600, rows, ns, [len(ODD_PRIMES_600)])
     assert builds == [ODD_PRIMES_600]
-    for (ctx, (qs, equal)), got in zip(batch, counts):
-        p = ctx.p
-        words, rank = ctx.residue_index
-        one = PrimeContext(p)
-        load_residue_indexes([one])
-        one_words, one_rank = one.residue_index
-        assert builds[-1] == [p]
+    got = zip(per_layout(residues, ns, 1), per_layout(nonresidues, ns, 1))
+    words, rank = build(ODD_PRIMES_600)
+    for r, p in enumerate(ODD_PRIMES_600):
+        one_words, one_rank = (a[0] for a in build([p]))
         used = one_words.size
-        assert np.array_equal(words[:used], one_words), p
-        assert not words[used:].any(), p
-        assert np.array_equal(rank[:used], one_rank), p
-        assert (rank[used:] == (p - 1) // 2).all(), p
+        assert np.array_equal(words[r, :used], one_words), p
+        assert not words[r, used:].any(), p
+        assert np.array_equal(rank[r, :used], one_rank), p
+        assert (rank[r, used:] == (p - 1) // 2).all(), p
+        qs, equal = layouts_below(p)
         want = [naive_block_counts(p, q, generalized=True) for q in qs]
         want += [naive_block_counts(p, n) for n in equal]
-        assert [(list(c.residues), list(c.nonresidues)) for c in got] == want, p
-        assert all(ctx.counts[n] is c for n, c in zip(qs + equal, got)), p
+        assert list(islice(got, len(want))) == want, p
 
 
 def running_products(p):
@@ -197,9 +207,8 @@ def test_residue_counts_at_word_boundaries():
     for p in (127, 131, 191, 193, 257, 4099):
         xs = [0, 63, 64, p - 1]
         want = residue_counts_by_mask(p)[xs].tolist()
-        ctx = PrimeContext(p)
-        load_residue_indexes([ctx])
-        assert ctx.residue_counts(xs).tolist() == want, p
+        words, rank = context._residue_indexes([p])
+        assert _set_bits_through(words[0], rank[0], np.array(xs)).tolist() == want, p
         assert want[-1] == (p - 1) // 2, p
 
 
@@ -208,11 +217,9 @@ def test_kernels_at_a_mid_size_prime():
     # anything the tests at p < 600 reach; the references are plain Python
     # loops and a mask of the squares
     p, h = MID_P, (MID_P - 1) // 2
-    ctx = PrimeContext(p)
-    load_residue_indexes([ctx])
+    words, rank = context._residue_indexes([p])
     counts = residue_counts_by_mask(p)
-    assert np.array_equal(ctx.residue_counts(np.arange(p)), counts)
-    words, rank = ctx.residue_index
+    assert np.array_equal(_set_bits_through(words[0], rank[0], np.arange(p)), counts)
     assert words.nbytes + rank.nbytes <= MID_P // 4 + 64
     running = [1]
     for x in range(1, p):
@@ -232,18 +239,20 @@ def test_kernels_at_a_mid_size_prime():
     assert f.tolist() == [running[x] for x in xs] + prefix
     assert s.tolist() == [running[h] * pow(running[y - 1], -1, p) % p for y in ys] + suffix
     # and a two-row residue index, the small prime's row padded far past 17
-    pair = [(PrimeContext(p), [3]), (PrimeContext(small), [3])]
-    load_block_counts(pair)
-    assert np.array_equal(pair[0][0].residue_counts(np.arange(p)), counts)
-    assert np.array_equal(pair[1][0].residue_counts(np.arange(small)),
+    words, rank = context._residue_indexes([p, small])
+    assert np.array_equal(_set_bits_through(words[0], rank[0], np.arange(p)), counts)
+    assert np.array_equal(_set_bits_through(words[1], rank[1], np.arange(small)),
                           residue_counts_by_mask(small))
     # blocks from both walks and their mirrors, against the running product:
-    # n = 2, odd floor-cut n and the equal blocks of 999982 = 2 * 499991
-    for n in (2, 3, 97, 499991):
+    # n = 2, odd floor-cut n and the equal blocks of 999982 = 2 * 499991,
+    # in one call whose points fill more than one pass of _CHUNK
+    ns = np.array([2, 3, 97, 499991])
+    tables = per_layout(_block_values([p], np.zeros(ns.size, dtype=np.int64), ns, [1]), ns)
+    for n, table in zip(ns.tolist(), tables):
         cuts = [k * p // n for k in range(n)] + [p - 1]
         want = [running[c] * pow(running[b], -1, p) % p
                 for b, c in zip(cuts, cuts[1:])]
-        assert list(load_block_tables([(ctx, [n])])[0][0].values) == want, n
+        assert table == want, n
 
 
 def test_four_leaves_at_the_largest_prime():
@@ -284,19 +293,16 @@ def test_tree_stores_no_leaves_and_no_pairs():
 
 def test_tree_storage_is_kept_and_never_shared(monkeypatch):
     # the storage grows to a power of two and is then reused by every batch
-    # and every one-row query that fits, and no context keeps a view of it:
-    # a tree lives only within the query that builds it
+    # and every one-row query that fits, and no table returned keeps a view
+    # of it: a tree lives only within the query that builds it
     monkeypatch.setattr(context, "_tree_store", np.empty(0, dtype=np.int64))
-    ns = (3, 7, 11)
     stores = []
     for primes in ([1999], [4999], [1999], [1999, 2003, 2011], [4999]):
-        batch = [(PrimeContext(p), ns) for p in primes]
-        for (ctx, _), tables in zip(batch, load_block_tables(batch)):
-            for n, table in zip(ns, tables):
-                assert list(table.values) == naive_partial_products(ctx.p, n, True)
-            for value in vars(ctx).values():
-                assert not (isinstance(value, np.ndarray)
-                            and np.shares_memory(value, context._tree_store)), ctx.p
+        rows, ns = batch_layouts(primes, [(3, 7, 11)] * len(primes))
+        values = _block_values(primes, rows, ns, [len(primes)])
+        assert not np.shares_memory(values, context._tree_store), primes
+        assert per_layout(values, ns) == [naive_partial_products(p, n, True)
+                                          for p in primes for n in (3, 7, 11)]
         stores.append(context._tree_store)
     assert stores[0].size < stores[1].size
     assert all(s is stores[1] for s in stores[2:])
@@ -308,22 +314,19 @@ def test_tree_storage_is_kept_and_never_shared(monkeypatch):
 
 
 def test_a_fresh_context_holds_nothing(monkeypatch):
-    # every field waits for its loader: reading the residue index builds
-    # nothing, and a block count query sets it
+    # a context is p and two empty dicts that wait for their loaders: making
+    # it builds no index, and a block count query at p builds one and
+    # leaves the context as it was
     builds = []
     build = context._residue_indexes
     monkeypatch.setattr(context, "_residue_indexes",
                         lambda primes: builds.append(primes) or build(primes))
     ctx = PrimeContext(1999)
-    assert ctx.residue_index is None
-    assert ctx.residue_index is None
+    assert vars(ctx) == {"p": 1999, "representations": {}, "inputs": {}}
     assert builds == []
-    assert ctx.tables == {} and ctx.counts == {} and ctx.representations == {}
-    assert ctx.class_number is None
-    [[counts]] = load_block_counts([(ctx, [3])])
+    counts = block_counts(1999, 3, generalized=True)
     assert builds == [[1999]]
-    assert ctx.residue_index is not None
-    assert ctx.counts == {3: counts}
+    assert vars(ctx) == {"p": 1999, "representations": {}, "inputs": {}}
     assert (list(counts.residues), list(counts.nonresidues)) == naive_block_counts(
         1999, 3, generalized=True)
 
@@ -406,9 +409,9 @@ def test_scan_never_builds_a_mask(monkeypatch):
     report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1))
     assert {v.theorem_id for v in report.verdicts} == set(THEOREM_IDS)
     assert all(v.passed for v in report.verdicts)
+    words, rank = context._residue_indexes([1999])
+    assert int(_set_bits_through(words[0], rank[0], np.array(1998))) == 999
     ctx = PrimeContext(1999)
-    load_residue_indexes([ctx])
-    assert int(ctx.residue_counts(1998)) == 999
     for name in ("mask", "cum"):
         assert not hasattr(ctx, name), name
 
@@ -416,7 +419,8 @@ def test_scan_never_builds_a_mask(monkeypatch):
 def test_scan_never_streams_where_it_builds_the_squares(monkeypatch):
     # h(-p) streams at a prime that reads no block counts; where t4 or
     # eq2_parity reads them, the scan builds the residue index first and
-    # Dirichlet reads it, whatever the order of the verifiers
+    # takes h(-p) from its half-interval count, whatever the order of the
+    # verifiers
     streamed, built = set(), set()
     build = context._residue_indexes
 
@@ -484,8 +488,8 @@ def test_scan_builds_residue_indexes_in_batches(monkeypatch):
     # all nine theorems at p < 2e4: fewer index builds than primes that read
     # block counts, each such prime a row of exactly one build, and no index
     # or count built inside a verifier
-    builds = []
-    build, fill = context._residue_indexes, products._fill_counts
+    builds, runs = [], []
+    build, run = context._residue_indexes, products._run_counts
     inside = record_verifier_calls(monkeypatch)
 
     def counting(primes):
@@ -493,14 +497,16 @@ def test_scan_builds_residue_indexes_in_batches(monkeypatch):
         builds.append(list(primes))
         return build(primes)
 
-    def filling(todo, words, rank):
+    def running(p, rows, ns, stops):
         assert not inside, f"block counts built inside {inside[0]}"
-        fill(todo, words, rank)
+        runs.append(rows.size)
+        return run(p, rows, ns, stops)
 
     monkeypatch.setattr(context, "_residue_indexes", counting)
-    monkeypatch.setattr(products, "_fill_counts", filling)
+    monkeypatch.setattr(products, "_run_counts", running)
     report = run_scan(ScanConfig(p_max=20000, theorems=THEOREM_IDS, workers=1))
     assert all(v.passed for v in report.verdicts)
+    assert runs
     counted = {v.p for v in report.verdicts if REGIMES[v.theorem_id].counts}
     rows = sorted(p for primes in builds for p in primes)
     assert len(builds) < len(counted)

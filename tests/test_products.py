@@ -10,10 +10,10 @@ from gaussprod import (block_counts, generalized_partial_products, legendre,
                        residue_cumulative_counts, residue_mask,
                        selected_block_indices, theorem1_product,
                        CongruenceConstraint)
-from gaussprod.products import _cuts, _enlarged_index
+from gaussprod.products import _enlarged_index
 
-from oracles import (naive_block_counts, naive_block_ranges, naive_is_prime,
-                     naive_partial_products)
+from oracles import (block_cuts, naive_block_counts, naive_block_ranges,
+                     naive_is_prime, naive_partial_products)
 
 SMALL_PRIMES = [p for p in range(3, 300) if naive_is_prime(p)]
 
@@ -42,7 +42,7 @@ def test_block_ranges_cover_everything_once():
             for generalized in (False, True):
                 if not generalized and (p - 1) % q:
                     continue
-                cuts = _cuts(p, q)
+                cuts = block_cuts(p, q)
                 rs = [(lo + 1, hi) for lo, hi in zip(cuts, cuts[1:])]
                 assert rs == naive_block_ranges(p, q, generalized)
                 seen = [v for lo, hi in rs for v in range(lo, hi + 1)]
@@ -99,7 +99,7 @@ def test_block_layouts_are_mirror_symmetric():
         layouts += [(q, True) for q in primes if q < p]
         for n, generalized in layouts:
             cuts = [0] + [hi for _, hi in naive_block_ranges(p, n, generalized)]
-            assert cuts == _cuts(p, n), (p, n, generalized)
+            assert cuts == block_cuts(p, n), (p, n, generalized)
             assert [p - 1 - c for c in cuts] == cuts[::-1], (p, n, generalized)
 
 

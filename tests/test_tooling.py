@@ -2,8 +2,10 @@
 benchmark tracer's targets, every public name a module exports, and the
 dotted names README.md quotes.  A deletion that leaves one behind must fail
 here, not at benchmark time, on import * or in a reader's hands.  So must a
-change that moves a digest the benchmark's correctness gate checks."""
+change that moves a digest the benchmark's correctness gate checks, and a
+private helper that the package itself no longer uses."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -17,6 +19,7 @@ from gaussprod import selftest, theorems
 from gaussprod.context import PrimeContext
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "gaussprod"
 PERFBENCH = ROOT / "perfbench"
 
 
@@ -104,3 +107,27 @@ def test_readme_names_resolve():
         return True
 
     assert [name for name in names if not resolves(name)] == []
+
+
+def test_private_names_are_used():
+    # every top-level _name a module of the package defines is read by name
+    # somewhere in the package, as a Name or an Attribute: a helper that
+    # only tests call belongs with the tests
+    defined, used = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(n.id for t in targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert len(private) >= 20
+    assert sorted(private - used) == []
