@@ -73,6 +73,13 @@ def legendre(a: int, p: int) -> int:
     raise ArithmeticError(f"euler criterion gave {t} for a={a}, p={p}")
 
 
+def _legendre(a: int, p: int) -> int:
+    """legendre(a, p) without its checks, for an odd prime p the caller has
+    checked or taken from the sieve."""
+    t = pow(a, p // 2, p)
+    return -1 if t == p - 1 else t
+
+
 @dataclass(frozen=True)
 class CongruenceConstraint:
     """Candidates must satisfy n == residue (mod modulus)."""

@@ -9,17 +9,19 @@ a prime p == 3 (mod 4):
 * a direct count of reduced primitive binary quadratic forms of
   discriminant -p.
 
+Each route, and the norm-form representation, is a function of p and q;
+only class_number_forms and square_subgroup keep what they computed.
 Dirichlet and Lemma 1 both read the nonzero squares mod p.  A Dirichlet
-query streams floor(j*j/p) over j = 1..(p-1)/2
-(`PrimeContext.square_floor_sum`), in O(2**16) memory.  A scan does too,
-except at a prime whose block counts it reads: there it takes h(-p) from
-the count of residues <= (p-1)/2 in the residue index it built for them
-(_half_interval_h).  Lemma 1 sums floor(r*q/p) over the stream of j*j mod p
-(`context._square_chunks`), which gives every nonzero square once.  A fault
-in j*j could move both alike.  The independent checks are the forms count,
-which shares nothing with them beyond the primality test, and the naive
-routes in tests/oracles.py; the test suite enforces their agreement rather
-than assuming it here.
+query streams floor(j*j/p) over j = 1..(p-1)/2 (_square_floor_sum), in
+O(2**16) memory.  A scan does too, except at a prime whose block counts it
+reads: there it takes h(-p) from the count of residues <= (p-1)/2 in the
+residue index it built for them (_half_interval_h).  Lemma 1 sums
+floor(r*q/p) over the stream of j*j mod p (`context._square_chunks`),
+which gives every nonzero square once.  A fault in j*j could move both
+alike.  The independent checks are the forms count, which shares nothing
+with them beyond the primality test, and the naive routes in
+tests/oracles.py; the test suite enforces their agreement rather than
+assuming it here.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from functools import cache
 
 import numpy as np
 
-from .arith import is_prime
-from .context import P_LIMIT, PrimeContext, _square_chunks
+from .arith import _legendre, is_prime
+from .context import P_LIMIT, _check_prime, _quotient, _square_chunks
 from .errors import InternalCheckError, RegimeError
 from .verdict import Verdict, _exact, make_verdict
 
@@ -56,11 +58,11 @@ class ClassNumberResult:
     method: str
 
 
-def _discriminant_context(p: int) -> PrimeContext:
-    """A fresh context of a prime p == 3 (mod 4), p >= 7."""
+def _check_discriminant(p: int) -> None:
+    """ValueError unless p is a prime == 3 (mod 4), 7 <= p < 2**31."""
     if p < 7 or p % 4 != 3:
         raise ValueError(f"need a prime p == 3 (mod 4) with p >= 7, got {p}")
-    return PrimeContext(p)
+    _check_prime(p)
 
 
 def class_number_dirichlet(p: int) -> ClassNumberResult:
@@ -74,16 +76,30 @@ def class_number_dirichlet(p: int) -> ClassNumberResult:
     the sum streamed in O(2**16) memory.  A scan that has built p's residue
     index takes the half-interval sum instead (_half_interval_h).
     """
-    return _dirichlet(_discriminant_context(p))
+    _check_discriminant(p)
+    return _dirichlet(p)
 
 
-def _dirichlet(ctx: PrimeContext) -> ClassNumberResult:
-    """class_number_dirichlet(ctx.p), streamed."""
-    p, half = ctx.p, (ctx.p - 1) // 2
-    h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
+def _dirichlet(p: int) -> ClassNumberResult:
+    """class_number_dirichlet(p), streamed, for a p it has checked."""
+    half = (p - 1) // 2
+    h = half - half * (half + 1) // 3 + 2 * _square_floor_sum(p)
     if h < 1:
         raise InternalCheckError(f"nonpositive class number {h} at p={p}")
     return ClassNumberResult(p=p, h=h, method="dirichlet")
+
+
+def _square_floor_sum(p: int) -> int:
+    """The sum of floor(j*j/p) over j = 1..(p-1)/2, in chunks of 2**16 into
+    the quotient buffer of context: O(2**16) memory.  j*j < 2**60 and the
+    sum, below p**2/24 < 2**59, keep int64 exact at every p < 2**31."""
+    half = (p - 1) // 2
+    total = 0
+    for start in range(1, half + 1, _quotient.size):
+        j = np.arange(start, min(start + _quotient.size, half + 1), dtype=np.int64)
+        j *= j
+        total += int(np.floor_divide(j, p, out=_quotient[:j.size]).sum())
+    return total
 
 
 def _half_interval_h(p: np.ndarray, residues: np.ndarray, two: np.ndarray) -> np.ndarray:
@@ -128,7 +144,7 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
     where r*q < p*q < 2**62 keeps int64 exact: the reason q must lie below
     2**31.
     """
-    ctx = _discriminant_context(p)
+    _check_discriminant(p)
     if q < 3 or q % 2 == 0 or not is_prime(q):
         raise ValueError(f"q must be an odd prime, got {q}")
     if q == p:
@@ -141,7 +157,7 @@ def class_number_lemma1(p: int, q: int) -> ClassNumberResult:
         chunk //= p
         floors += int(chunk.sum())
     total = (p - 1) // 2 * (q - 1) - 2 * floors
-    denom = q - ctx.legendre(q)
+    denom = q - _legendre(q, p)
     if total % denom:
         raise InternalCheckError(
             f"weighted character sum {total} not divisible by {denom} at p={p}, q={q}")
@@ -331,14 +347,12 @@ def hahn_lee_representation(p: int, q: int) -> Representation:
         raise RegimeError(f"q must be a prime == 3 (mod 4), got {q}")
     if p % q != 1:
         raise RegimeError(f"p must be a prime == 1 (mod q), got p={p}, q={q}")
-    return _representation(PrimeContext(p), q)
+    _check_prime(p)
+    return _representation(p, q)
 
 
-def _representation(ctx: PrimeContext, q: int) -> Representation:
-    """hahn_lee_representation(ctx.p, q), kept in ctx.representations."""
-    if q in ctx.representations:
-        return ctx.representations[q]
-    p = ctx.p
+def _representation(p: int, q: int) -> Representation:
+    """hahn_lee_representation(p, q) for a (p, q) in its regime."""
     h = class_number_forms(q).h
     m = p ** h
     root = _hensel_lift(_sqrt_mod_prime(-q, p), -q, p, h)
@@ -364,5 +378,4 @@ def _representation(ctx: PrimeContext, q: int) -> Representation:
     if not (b % p or a % p):
         raise InternalCheckError(
             f"imprimitive representation at p={p}, q={q}: a={a}, b={b}")
-    ctx.representations[q] = Representation(p=p, q=q, h=h, a=a, b=b)
-    return ctx.representations[q]
+    return Representation(p=p, q=q, h=h, a=a, b=b)

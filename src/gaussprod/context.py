@@ -1,11 +1,9 @@
-"""Per-prime state: one PrimeContext holds what the verifiers read at a prime p.
-
-A context validates p (_check_prime), unless a scan builds it for a prime
-from the sieve (PrimeContext._sieved), and is otherwise a plain record of
-p, the representations of p per q (filled by classnum) and each verdict's
-inputs (filled by inputs._load_unit).  Block tables and block counts are
-no context's: the flat kernels of products read them for a batch of
-primes, and a public single query is a batch of one.
+"""The O(p) kernels under block tables, block counts and h(-p), and the
+check of a prime p (_check_prime) behind every public query at p.
+No state at a prime outlives the call that made it: the flat kernels of
+products read block tables and block counts for a batch of primes, a
+public single query is a batch of one, and a scan takes its primes from
+the sieve, so it tests none of them.
 
 Block products come from a product tree of the lower half 1..(p-1)/2
 (Bernstein, "Fast multiplication and its applications", 2008), built for a
@@ -15,8 +13,8 @@ y*(y+1)*...*(p-1)/2 mod p for many (prime, x) and (prime, y); the upper
 half mirrors the lower, since j == -(p - j).  Its lowest stored level is
 the four-leaf nodes (x+1)(x+2)(x+3)(x+4) = (x*x + 5x + 5)**2 - 1, x = 4i,
 two reductions each; the gather computes leaves and pairs, so a one-row
-tree is about 2p bytes.  No context holds a tree: it lives in one kept
-array, rebuilt by every query.
+tree is about 2p bytes.  The tree lives in one kept array, rebuilt by
+every query.
 
 The residue index is a bitmap of the nonzero squares mod p, 64 to a word,
 with a rank directory of the set bits before each word: p/4 bytes, a
@@ -31,12 +29,8 @@ remainder by a column at 125k entries), and skips the padding mask (0.17
 of 1.1 ms at p = 499,979); the index streams _square_chunks, j*j mod p for
 j = 1..(p-1)/2 in chunks of 2**16, into a p-byte mark array instead of a
 (rows, h) int64 array, so it fits a 1 GiB cap at p = 268,435,399.  Lemma 1
-(classnum) and square_floor_sum (Dirichlet's h(-p)) stream the same way in
-O(2**16) memory at every p < 2**31.
-
-No context outlives its query: a public single query that needs one
-builds its own and drops it, and a scan hands its contexts to the
-verifiers.
+and _square_floor_sum (Dirichlet's h(-p)), both in classnum, stream the
+same way in O(2**16) memory at every p < 2**31.
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ import numpy as np
 
 from .arith import is_prime
 
-__all__ = ["P_LIMIT", "PrimeContext", "half_products"]
+__all__ = ["P_LIMIT", "half_products"]
 
 # int64 stays exact for products of two residues and for j*j below this bound
 P_LIMIT = 1 << 31
@@ -66,48 +60,6 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
-class PrimeContext:
-    """Per-prime state for an odd prime p < 2**31: the representations of p
-    and the verdict inputs at p, each empty until its loader fills it."""
-
-    def __new__(cls, p: int):
-        _check_prime(p)
-        return super().__new__(cls)
-
-    @classmethod
-    def _sieved(cls, p: int) -> PrimeContext:
-        """The context of an odd prime p < 2**31 taken from a sieve: cls's
-        __init__ runs, the primality test of PrimeContext(p) does not."""
-        ctx = object.__new__(cls)
-        ctx.__init__(p)
-        return ctx
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-        # q -> Representation of 4*p**h(-q), filled by classnum
-        self.representations: dict = {}
-        # (theorem_id, q) -> the inputs of that claim's verdict at p, filled
-        # by inputs._load_unit
-        self.inputs: dict = {}
-
-    def square_floor_sum(self) -> int:
-        """The sum of floor(j*j/p) over j = 1..(p-1)/2, in chunks of 2**16
-        into the quotient buffer: O(2**16) memory.  j*j < 2**60 and the sum,
-        below p**2/24 < 2**59, keep int64 exact at every p < 2**31."""
-        p, half = self.p, (self.p - 1) // 2
-        total = 0
-        for start in range(1, half + 1, _quotient.size):
-            j = np.arange(start, min(start + _quotient.size, half + 1), dtype=np.int64)
-            j *= j
-            total += int(np.floor_divide(j, p, out=_quotient[:j.size]).sum())
-        return total
-
-    def legendre(self, a: int) -> int:
-        """Legendre symbol (a|p) by Euler's criterion."""
-        t = pow(a, (self.p - 1) // 2, self.p)
-        return -1 if t == self.p - 1 else t
-
-
 def _set_bits_through(words: np.ndarray, rank: np.ndarray, b: np.ndarray) -> np.ndarray:
     """rank[b >> 6] plus the set bits of words[b >> 6] up to bit b & 63,
     elementwise for int64 flat bit positions b into 1-D words: the set bits
@@ -116,7 +68,8 @@ def _set_bits_through(words: np.ndarray, rank: np.ndarray, b: np.ndarray) -> np.
     return rank[w] + np.bitwise_count(words[w] << (63 - (b & 63)).astype(np.uint64))
 
 
-# the quotients of _reduce, one chunk at a time, and the tree storage, kept
+# the quotients of _reduce and of classnum._square_floor_sum, one chunk at a
+# time, and the tree storage, kept
 # and grown to powers of two: memory made afresh per query faults in all its
 # pages anew.  A tree lives only within the half_products call that builds
 # it, so one storage serves every query.

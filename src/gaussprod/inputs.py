@@ -8,12 +8,13 @@ in the part at once, padded to the widest q: the selected-block products
 of t1-t4, corollary's block values, symmetry's mirror mismatches, central
 and full products, t3's cut sizes, the size checks and weighted count sums
 of t4 and eq2_parity, and the running factorial products of eq_a and t2.
-The part's tables then go; only the input columns and the pending Legendre
-symbols cross parts.  Every symbol of the unit, each q and each (2|p) that
-h(-p) needs among them, comes from one Euler pass at the end; h(-p) from
-the residue counts of 1..(p-1)/2 where the part built p's index, streamed
-elsewhere.  Each claim's inputs then go to ctx.inputs[theorem_id, q] of
-its contexts, where the claim's body in theorems reads them.
+eq_a and t2 share one norm-form representation per (p, q).  The part's
+tables then go; only the input columns and the pending Legendre symbols
+cross parts.  Every symbol of the unit, each q, each representation's
+(a|p) and each (2|p) that h(-p) needs among them, comes from one Euler
+pass at the end; h(-p) from the residue counts of 1..(p-1)/2 where the
+part built p's index, streamed elsewhere.  Each part then goes out as
+(p, (theorem_id, q), inputs) per verdict, for the bodies in theorems.
 
 int64 stays exact: p < 2**31, so a product of two residues lies below
 2**62, and a weighted count sum, at most (p/q + 1) per block times weights
@@ -23,11 +24,12 @@ summing to (q*q - 1)/8, below 2**59 for q < p.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, chain
+from itertools import accumulate
 
 import numpy as np
 
-from .classnum import _dirichlet, _half_interval_h, square_subgroup
+from .arith import _legendre
+from .classnum import _dirichlet, _half_interval_h, _representation, square_subgroup
 from .products import (_block_counts, _block_values, _distinct, _enlarged_index,
                        selected_block_indices)
 
@@ -73,9 +75,9 @@ def _symbols(pairs) -> list[np.ndarray]:
 
 def _euler(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """(a|p) elementwise for 1-D int64 0 <= a < p, p an odd prime below
-    2**31, with PrimeContext.legendre's values: a**((p-1)/2) mod p by
-    square and multiply, so that every product of two residues lies below
-    2**62, and -1 where that is p - 1."""
+    2**31, with arith._legendre's values: a**((p-1)/2) mod p by square and
+    multiply, so that every product of two residues lies below 2**62, and
+    -1 where that is p - 1."""
     e, base, t = p >> 1, a, np.ones_like(a)
     while True:
         t = np.where(e & 1, t * base % p, t)
@@ -84,12 +86,6 @@ def _euler(a: np.ndarray, p: np.ndarray) -> np.ndarray:
             break
         base = base * base % p
     return np.where(t == p - 1, -1, t)
-
-
-def _legendre(a: int, p: int) -> int:
-    """PrimeContext.legendre without a context."""
-    t = pow(a, p // 2, p)
-    return -1 if t == p - 1 else t
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -178,13 +174,15 @@ class _Unit:
     build, which go before the next batch loads (see products).  A row
     with counts also counts the blocks of n = 2, whose first block holds
     the residues in 1..(p-1)/2 that give h(-p), kept in half_residues at
-    the rows indexed."""
+    the rows indexed.  representations keeps the norm-form representation
+    of each (p, q) that eq_a or t2 reads, made once for the two."""
 
     def __init__(self, batches, regimes) -> None:
         entries = [entry for batch in batches for entry in batch]
-        self.contexts = [ctx for ctx, _ in entries]
-        self.pairs = list(chain.from_iterable(work for _, work in entries))
-        self.p = p = np.array([ctx.p for ctx in self.contexts], dtype=np.int64)
+        self.primes = [p for p, _ in entries]
+        self.pairs = [pair for _, work in entries for pair in work]
+        self.p = p = np.array(self.primes, dtype=np.int64)
+        self.representations: dict = {}
         self.row = np.arange(p.size).repeat([len(work) for _, work in entries])
         # each distinct claim pair's q, n, group, place in its group and
         # what it reads, then each request's by the pair's code
@@ -231,7 +229,7 @@ class _Unit:
         if any(reg.class_number for _, _, reg in claims):
             streamed = set(self.row[reads_h == 1].tolist()).difference(self.indexed.tolist())
             for r in sorted(streamed):
-                self.h[r] = _dirichlet(self.contexts[r]).h
+                self.h[r] = _dirichlet(self.primes[r]).h
 
     def blocks(self, rows, n, offsets) -> np.ndarray:
         """The values of blocks offsets + 1 (a row of offsets per entry of
@@ -244,6 +242,16 @@ class _Unit:
         start = self.c_start[self.c_key.searchsorted(rows << 32 | n)]
         at = np.minimum(start[:, None] + offsets, self.residues.size - 1)
         return self.residues[at], self.nonresidues[at]
+
+    def represent(self, rows, q) -> tuple[list, np.ndarray]:
+        """The representation of 4*p**h(-q) at each (row, q), and the
+        column of its a mod p."""
+        reps = []
+        for key in zip(map(self.primes.__getitem__, rows.tolist()), q.tolist()):
+            if key not in self.representations:
+                self.representations[key] = _representation(*key)
+            reps.append(self.representations[key])
+        return reps, np.array([rep.a % rep.p for rep in reps], dtype=np.int64)
 
 
 # Each claim's inputs over one group: rows r, q and the distinct qs, request
@@ -283,7 +291,8 @@ def _eq_a_inputs(u: _Unit, r, q, qs, local):
     val = _fold(np.where(_per_q(_negative_squares, qs, 0)[local] == 1, acc, 1), p[:, None])
     beta = _per_q(_beta, qs)[local, 0]
     val = np.where(beta & 1, p - val, val)
-    return [(val, p)], lambda sym: (sym, beta)
+    reps, a = u.represent(r, q)
+    return [(val, p), (a, p)], lambda sym, a_sym: (sym, beta, reps, a_sym)
 
 
 def _t2_inputs(u: _Unit, r, q, qs, local):
@@ -294,7 +303,9 @@ def _t2_inputs(u: _Unit, r, q, qs, local):
     offsets = _per_q(_lower_offsets, qs)[local]
     acc = _running(u.blocks(r, q, offsets), p[:, None])
     val = _fold(np.where(offsets < _PAST, acc, 1), p[:, None])
-    return [(selected, p), (val, p)], lambda s, t: ((s == t).astype(np.int64),)
+    reps, a = u.represent(r, q)
+    return ([(selected, p), (val, p), (a, p)],
+            lambda s, t, a_sym: ((s == t).astype(np.int64), reps, a_sym))
 
 
 def _t3_inputs(u: _Unit, r, q, qs, local):
@@ -366,20 +377,20 @@ def _parts(batches):
 
 
 def _load_unit(batches, regimes):
-    """Load the inputs of every verdict of a unit into ctx.inputs[theorem_id,
-    q], yielding each part of the unit once its contexts hold them.
+    """Yield each part of a unit as the list of (p, (theorem_id, q), inputs)
+    of its verdicts, in the order of the batches and of each prime's work.
 
-    batches lists the unit's batches, each a list of (ctx, ((theorem_id, q),
+    batches lists the unit's batches, each a list of (p, ((theorem_id, q),
     ...)) for consecutive primes, and regimes maps each theorem_id to its
     theorems.Regime.  The unit is loaded in parts of whole batches
-    (_parts), each a _Unit whose tables and counts go once each group of a
-    claim's requests has made its pass over them, padded to its widest q;
-    only the input columns and the pending symbols cross parts.  Every
-    symbol comes from one Euler pass after all parts.  Then, part by part
-    as the caller takes them, h(-p) comes from the residue counts and
-    (2|p), and each group's columns go to its contexts in one zip, so that
-    the caller can use and drop one part's inputs before the next's are
-    made."""
+    (_parts), each a _Unit whose tables, counts and representations go once
+    each group of a claim's requests has made its pass over them, padded to
+    its widest q; only the input columns and the pending symbols cross
+    parts.  Every symbol comes from one Euler pass after all parts.  Then,
+    part by part as the caller takes them, h(-p) comes from the residue
+    counts and (2|p), and each group's columns are zipped into its
+    verdicts' inputs, so that the caller can use and drop one part's inputs
+    before the next's are made."""
     loaded, symbols = [], []
     for part in _parts(batches):
         u = _Unit(part, regimes)
@@ -392,20 +403,21 @@ def _load_unit(batches, regimes):
             wanted, finish = _INPUTS[tid](u, u.row[group], u.q[group], qs, u.local[group])
             steps.append((group, finish, len(wanted)))
             symbols += wanted
-        u.values = u.residues = u.nonresidues = None
-        loaded.append((part, u, steps))
+        u.values = u.residues = u.nonresidues = u.representations = None
+        loaded.append((u, steps))
     found = iter(_symbols(symbols))
     loaded.reverse()
     while loaded:
-        part, u, steps = loaded.pop()
+        u, steps = loaded.pop()
+        inputs = [None] * len(u.pairs)
         for group, finish, count in steps:
             got = [next(found) for _ in range(count)]
             if finish is None:
                 u.h[u.indexed] = _half_interval_h(u.p[u.indexed], u.half_residues, *got)
                 continue
             columns = [np.asarray(c).tolist() for c in finish(*got)]
-            for ctx, pair, item in zip(map(u.contexts.__getitem__, u.row[group].tolist()),
-                                       map(u.pairs.__getitem__, group.tolist()), zip(*columns)):
-                ctx.inputs[pair] = item
-        del u, steps
-        yield part
+            for j, item in zip(group.tolist(), zip(*columns)):
+                inputs[j] = item
+        verdicts = list(zip(map(u.primes.__getitem__, u.row.tolist()), u.pairs, inputs))
+        del u, steps, inputs
+        yield verdicts

@@ -2,11 +2,11 @@
 
 The engine is prime-major: it maps each prime p to the (theorem, q) pairs
 that apply to it, ordered by (q, theorem), and works through units of
-consecutive primes.  For a unit it creates each prime's PrimeContext from
-the sieve, without a second primality test, and inputs._load_unit
-computes the inputs of every verdict of the unit in one vectorised pass,
-loading block tables and block counts batch by batch; then each prime's
-verifier bodies run on its context, once per verdict.
+consecutive primes from the sieve, which it does not test again.  For a
+unit, inputs._load_unit computes the inputs of every verdict in one
+vectorised pass, loading block tables and block counts batch by batch;
+then the claim's body runs on each (p, q) and its inputs, once per
+verdict.
 
 Units are runs of consecutive primes cut at a fixed modelled cost, and a
 unit yields its verdicts in report order, (p, q, theorem_id), without a
@@ -27,12 +27,10 @@ import json
 import multiprocessing
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
 from .arith import is_prime, primes_matching
-from . import context
 from .context import P_LIMIT
 from .inputs import _load_unit
 from .theorems import REGIMES, THEOREM_IDS, _VERIFIERS, regime_q_reason
@@ -142,18 +140,11 @@ def _batches(unit: tuple[tuple[int, tuple], ...]):
 
 def _run_unit(unit: tuple[tuple[int, tuple], ...]) -> list[Verdict]:
     """Verdicts for a unit of (p, ((theorem, q), ...)) entries, in report
-    order, since _build_units orders each prime's work by (q, theorem)."""
-    # looked up on the module, so a replaced class takes effect
-    batches = [[(context.PrimeContext._sieved(p), work) for p, work in batch]
-               for batch in _batches(unit)]
-    out = []
-    for part in _load_unit(batches, REGIMES):
-        for ctx, work in chain.from_iterable(part):
-            # looked up per call, so a replaced verifier takes effect at once
-            out += [_VERIFIERS[tid](ctx, q) for tid, q in work]
-            # a context's inputs go once its verdicts are made
-            ctx.inputs.clear()
-    return out
+    order, since _build_units orders each prime's work by (q, theorem).  A
+    body is looked up per call, so a replaced verifier takes effect at once."""
+    return [_VERIFIERS[tid](p, q, inputs)
+            for part in _load_unit(_batches(unit), REGIMES)
+            for p, (tid, q), inputs in part]
 
 
 def _build_units(config: ScanConfig) -> tuple[list, dict[str, int]]:

@@ -1,14 +1,15 @@
 """Verifiers for the quadratic-residue claims about block partial products.
 
-Each claim's body, in _VERIFIERS, takes a PrimeContext whose verdict
-inputs inputs._load_unit has computed, in one vectorised pass over a unit
-of primes, and a q in the claim's regime; it adds the side that rests on
-h(-p) or on the norm-form representation, and returns a Verdict whose
-``passed`` flag is exactly ``predicted == computed``.  verify, behind
-every verify_*(p, q), checks the regime once and loads a unit of one row;
-a scan loads its units itself.  Out-of-regime inputs raise RegimeError so
-sweep drivers can tell "not applicable" apart from "refuted".  REGIMES
-states each claim's hypotheses once, for verify and the scan alike.
+Each claim's body, in _VERIFIERS, takes a prime p, a q in the claim's
+regime and the inputs of that verdict, which inputs._load_unit has
+computed in one vectorised pass over a unit of primes; it adds the side
+that rests on h(-p), q or the norm-form representation, and returns a
+Verdict whose ``passed`` flag is exactly ``predicted == computed``.
+verify, behind every verify_*(p, q), checks the regime and p once and
+loads a unit of one row; a scan loads its units itself.  Out-of-regime
+inputs raise RegimeError so sweep drivers can tell "not applicable" apart
+from "refuted".  REGIMES states each claim's hypotheses once, for verify
+and the scan alike.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import is_prime
-from .classnum import _representation
-from .context import PrimeContext
+from .context import _check_prime
 from .errors import RegimeError
 from .inputs import _load_unit
 from .products import _enlarged_index, selected_block_indices
@@ -109,10 +109,10 @@ def verify_mordell(p: int, q: int | None = None) -> Verdict:
     return verify("mordell", p)
 
 
-def _mordell(ctx: PrimeContext, q: None) -> Verdict:
-    half_fact, computed, h = ctx.inputs["mordell", q]
+def _mordell(p: int, q: None, inputs: tuple) -> Verdict:
+    half_fact, computed, h = inputs
     predicted = -1 if ((1 + h) // 2) % 2 else 1
-    return make_verdict("mordell", ctx.p, None, predicted, computed,
+    return make_verdict("mordell", p, None, predicted, computed,
                         detail=f"((p-1)/2)! = {half_fact} mod p, h(-p) = {h}")
 
 
@@ -121,9 +121,9 @@ def verify_theorem1(p: int, q: int) -> Verdict:
     return verify("t1", p, q)
 
 
-def _t1(ctx: PrimeContext, q: int) -> Verdict:
-    value, sym = ctx.inputs["t1", q]
-    return make_verdict("t1", ctx.p, q, 1, sym, detail=f"selected product = {value}")
+def _t1(p: int, q: int, inputs: tuple) -> Verdict:
+    value, sym = inputs
+    return make_verdict("t1", p, q, 1, sym, detail=f"selected product = {value}")
 
 
 def verify_corollary(p: int, q: int) -> Verdict:
@@ -131,13 +131,13 @@ def verify_corollary(p: int, q: int) -> Verdict:
     return verify("corollary", p, q)
 
 
-def _corollary(ctx: PrimeContext, q: int) -> Verdict:
-    syms, parity = ctx.inputs["corollary", q]
+def _corollary(p: int, q: int, inputs: tuple) -> Verdict:
+    syms, parity = inputs
     detail = " ".join(f"k={k}:{s:+d}" for k, s in zip(selected_block_indices(q), syms))
     if q == 7:
         # the selected set is {1, 3}, so even parity means equal symbols
         detail += f"; pair ({syms[0]:+d},{syms[1]:+d})"
-    return make_verdict("corollary", ctx.p, q, 0, parity, detail=detail)
+    return make_verdict("corollary", p, q, 0, parity, detail=detail)
 
 
 def verify_eq_a(p: int, q: int) -> Verdict:
@@ -146,12 +146,10 @@ def verify_eq_a(p: int, q: int) -> Verdict:
     return verify("eq_a", p, q)
 
 
-def _eq_a(ctx: PrimeContext, q: int) -> Verdict:
-    p = ctx.p
-    rhs, beta = ctx.inputs["eq_a", q]
-    rep = _representation(ctx, q)
+def _eq_a(p: int, q: int, inputs: tuple) -> Verdict:
+    rhs, beta, rep, a_sym = inputs
     return make_verdict(
-        "eq_a", p, q, ctx.legendre(rep.a), rhs,
+        "eq_a", p, q, a_sym, rhs,
         detail=f"a={rep.a} b={rep.b} h(-q)={rep.h} beta={beta} p%4={p % 4}")
 
 
@@ -162,11 +160,10 @@ def verify_theorem2(p: int, q: int) -> Verdict:
     return verify("t2", p, q)
 
 
-def _t2(ctx: PrimeContext, q: int) -> Verdict:
-    bridge, = ctx.inputs["t2", q]
-    rep = _representation(ctx, q)
+def _t2(p: int, q: int, inputs: tuple) -> Verdict:
+    bridge, rep, a_sym = inputs
     predicted_sym = -1 if ((q + 1) // 4) % 2 else 1
-    return make_verdict("t2", ctx.p, q, (predicted_sym, 1), (ctx.legendre(rep.a), bridge),
+    return make_verdict("t2", p, q, (predicted_sym, 1), (a_sym, bridge),
                         detail=f"a={rep.a} b={rep.b} h(-q)={rep.h}")
 
 
@@ -177,8 +174,8 @@ def verify_theorem3(p: int, q: int) -> Verdict:
     return verify("t3", p, q)
 
 
-def _t3(ctx: PrimeContext, q: int) -> Verdict:
-    value, sym, sizes_ok, h = ctx.inputs["t3", q]
+def _t3(p: int, q: int, inputs: tuple) -> Verdict:
+    value, sym, sizes_ok, h = inputs
     qm = q % 16
     if qm in (1, 15):
         predicted_sym = 1
@@ -188,7 +185,7 @@ def _t3(ctx: PrimeContext, q: int) -> Verdict:
         predicted_sym = -1 if ((h + 1) // 2) % 2 else 1
     else:
         predicted_sym = -1 if (1 + (h + 1) // 2) % 2 else 1
-    return make_verdict("t3", ctx.p, q, (predicted_sym, 1), (sym, sizes_ok),
+    return make_verdict("t3", p, q, (predicted_sym, 1), (sym, sizes_ok),
                         detail=f"product={value} h(-p)={h} q%16={qm}")
 
 
@@ -199,9 +196,8 @@ def verify_theorem4(p: int, q: int) -> Verdict:
     return verify("t4", p, q)
 
 
-def _t4(ctx: PrimeContext, q: int) -> Verdict:
-    p = ctx.p
-    value, sym, sizes_ok, rhs, s, h = ctx.inputs["t4", q]
+def _t4(p: int, q: int, inputs: tuple) -> Verdict:
+    value, sym, sizes_ok, rhs, s, h = inputs
     qm = q % 12
     if qm in (1, 11):
         predicted_sym = 1
@@ -224,12 +220,12 @@ def verify_eq2_parity(p: int, q: int) -> Verdict:
     return verify("eq2_parity", p, q)
 
 
-def _eq2_parity(ctx: PrimeContext, q: int) -> Verdict:
-    rhs_diff, rhs_nonres, parity, s, h = ctx.inputs["eq2_parity", q]
+def _eq2_parity(p: int, q: int, inputs: tuple) -> Verdict:
+    rhs_diff, rhs_nonres, parity, s, h = inputs
     # (q-s)*h/2, and (q*q-1)/8 * (p-1)/(2q) - (q-s)*h/4 over 16q
     predicted = (_exact((q - s) * h, 2),
-                 _exact((q * q - 1) * (ctx.p - 1) - 4 * q * (q - s) * h, 16 * q), 0)
-    return make_verdict("eq2_parity", ctx.p, q, predicted, (rhs_diff, rhs_nonres, parity),
+                 _exact((q * q - 1) * (p - 1) - 4 * q * (q - s) * h, 16 * q), 0)
+    return make_verdict("eq2_parity", p, q, predicted, (rhs_diff, rhs_nonres, parity),
                         detail=f"h(-p)={h} (q|p)={s:+d}")
 
 
@@ -242,9 +238,9 @@ def verify_symmetry(p: int, q: int) -> Verdict:
     return verify("symmetry", p, q)
 
 
-def _symmetry(ctx: PrimeContext, q: int) -> Verdict:
-    mismatches, central_value, central, full, wilson = ctx.inputs["symmetry", q]
-    return make_verdict("symmetry", ctx.p, q, (0, -1, -1), (mismatches, central, wilson),
+def _symmetry(p: int, q: int, inputs: tuple) -> Verdict:
+    mismatches, central_value, central, full, wilson = inputs
+    return make_verdict("symmetry", p, q, (0, -1, -1), (mismatches, central, wilson),
                         detail=f"central={central_value} full={full}")
 
 
@@ -257,9 +253,9 @@ THEOREM_IDS = tuple(sorted(_VERIFIERS))
 
 def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
     """Dispatch one check by id; see THEOREM_IDS for the valid names.  A
-    claim that takes no q ignores it.  The regime is checked once, then p's
-    inputs are loaded as a unit of one row and the claim's body runs on
-    them."""
+    claim that takes no q ignores it.  The regime and p are checked once,
+    then the verdict's inputs are loaded as a unit of one row and the
+    claim's body runs on them."""
     if theorem_id not in _VERIFIERS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"valid: {', '.join(THEOREM_IDS)}")
@@ -273,8 +269,8 @@ def verify(theorem_id: str, p: int, q: int | None = None) -> Verdict:
     if p <= min_p:
         raise RegimeError(f"{theorem_id}: p={p}: need p > {min_p}")
     try:
-        ctx = PrimeContext(p)
+        _check_prime(p)
     except ValueError as exc:
         raise RegimeError(f"{theorem_id}: {exc}") from None
-    list(_load_unit([[(ctx, [(theorem_id, q)])]], REGIMES))
-    return _VERIFIERS[theorem_id](ctx, q)
+    [[(_, _, inputs)]] = _load_unit([[(p, [(theorem_id, q)])]], REGIMES)
+    return _VERIFIERS[theorem_id](p, q, inputs)

@@ -19,8 +19,7 @@ from gaussprod import (CongruenceConstraint, InternalCheckError, RegimeError,
                        hahn_lee_representation, legendre, primes_matching,
                        square_subgroup)
 from gaussprod.classnum import (_FORMS_BLOCK, _dirichlet, _half_interval_h, _hensel_lift,
-                                _smallest_b_associate, _sqrt_mod_prime)
-from gaussprod.context import PrimeContext
+                                _smallest_b_associate, _sqrt_mod_prime, _square_floor_sum)
 from gaussprod.products import _block_counts, residue_mask
 
 from oracles import (naive_class_number, naive_class_number_dirichlet,
@@ -86,22 +85,21 @@ def test_forms_matches_dirichlet_across_blocks():
         h = class_number_forms(p).h
         # Dirichlet streams, and the scan's route reads the residues of the
         # first of n = 2 blocks, 1..(p-1)/2, from a residue index
-        ctx = PrimeContext(p)
-        assert _dirichlet(ctx).h == h, p
+        assert _dirichlet(p).h == h, p
         residues, _ = _block_counts([p], np.array([0]), np.array([2]), [1])
         assert residues[0] + residues[1] == half, p
-        assert _half_interval_h(np.array([p]), residues[:1], np.array([ctx.legendre(2)])) == [h], p
+        two = np.array([legendre(2, p)])
+        assert _half_interval_h(np.array([p]), residues[:1], two) == [h], p
         for q in (3, 97, 2**31 - 1):
             assert class_number_lemma1(p, q).h == h, (p, q)
 
 
 def test_streamed_dirichlet_matches_forms():
-    # the first-moment formula on a fresh context at every prime
-    # p == 3 (mod 4) with 7 <= p < 2e4
+    # the first-moment formula at every prime p == 3 (mod 4) with
+    # 7 <= p < 2e4
     for p in primes_matching(20_000, [CongruenceConstraint(4, 3)])[1:]:
-        ctx = PrimeContext(p)
         half = (p - 1) // 2
-        h = half - half * (half + 1) // 3 + 2 * ctx.square_floor_sum()
+        h = half - half * (half + 1) // 3 + 2 * _square_floor_sum(p)
         assert h == class_number_forms(p).h, p
 
 
@@ -142,10 +140,10 @@ def test_block_counts_in_bounded_memory():
     run = run_capped(
         f"import numpy as np\n"
         f"from gaussprod.classnum import _half_interval_h\n"
-        f"from gaussprod.context import PrimeContext\n"
+        f"from gaussprod.arith import legendre\n"
         f"from gaussprod.products import _block_counts\n"
         f"res, _ = _block_counts([{p}], np.array([0, 0]), np.array([97, 2]), [1])\n"
-        f"two = np.array([PrimeContext({p}).legendre(2)])\n"
+        f"two = np.array([legendre(2, {p})])\n"
         f"h = _half_interval_h(np.array([{p}]), res[98:99], two)[0]\n"
         f"print(res[:97].sum(), res[98] + res[99], h)")
     assert run.returncode == 0, run.stderr

@@ -117,8 +117,8 @@ def test_scan_failure_exit_code(monkeypatch, capsys):
     import gaussprod.scan as scan_mod
     from gaussprod.verdict import Verdict
 
-    def broken(ctx, q):
-        return Verdict("t1", ctx.p, q, 1, -1, False, "injected")
+    def broken(p, q, inputs):
+        return Verdict("t1", p, q, 1, -1, False, "injected")
 
     monkeypatch.setitem(scan_mod._VERIFIERS, "t1", broken)
     code, out, _ = run_cli(capsys, "scan", "--p-max", "100", "--q", "3",
@@ -351,10 +351,10 @@ def test_scan_internal_error_keeps_the_rows_written(tmp_path, monkeypatch, capsy
     want = "".join(lines[:1] + [r for r in lines[1:] if int(r.split(",")[1]) < unit[0][0]])
     t1 = scan_mod._VERIFIERS["t1"]
 
-    def broken(ctx, q):
-        if ctx.p == bad:
+    def broken(p, q, inputs):
+        if p == bad:
             raise InternalCheckError(f"planted at p={bad}")
-        return t1(ctx, q)
+        return t1(p, q, inputs)
 
     monkeypatch.setitem(scan_mod._VERIFIERS, "t1", broken)
     target = tmp_path / "rows.csv"

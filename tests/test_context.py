@@ -1,4 +1,3 @@
-import gc
 import math
 import sys
 from collections import Counter
@@ -8,13 +7,11 @@ import numpy as np
 import pytest
 
 import gaussprod.arith as arith
+import gaussprod.classnum as classnum
 import gaussprod.context as context
 import gaussprod.products as products
-from gaussprod import (block_counts, class_number_dirichlet, class_number_forms,
-                       class_number_lemma1, generalized_partial_products,
-                       hahn_lee_representation, partial_products,
-                       residue_cumulative_counts, residue_mask, theorem1_product)
-from gaussprod.context import PrimeContext, _set_bits_through, half_products
+from gaussprod import block_counts, residue_mask
+from gaussprod.context import _check_prime, _set_bits_through, half_products
 from gaussprod.products import _block_counts, _block_values
 from gaussprod.scan import ScanConfig, _resolved_q, run_scan
 from gaussprod.theorems import _VERIFIERS, REGIMES, THEOREM_IDS, verify
@@ -98,7 +95,7 @@ def test_block_counts_of_a_batch_match_naive(monkeypatch):
     # and j up to 299 reaches multiples of the small p.  The batch's counts
     # come from one index build, each row of the batch's index is the
     # one-row build padded with zero words, and every floor-cut and equal
-    # layout matches the naive counts
+    # layout matches the naive counts; a public query is a one-row build
     builds = []
     build = context._residue_indexes
     monkeypatch.setattr(context, "_residue_indexes",
@@ -120,6 +117,11 @@ def test_block_counts_of_a_batch_match_naive(monkeypatch):
         want = [naive_block_counts(p, q, generalized=True) for q in qs]
         want += [naive_block_counts(p, n) for n in equal]
         assert list(islice(got, len(want))) == want, p
+    builds.clear()
+    counts = block_counts(1999, 3, generalized=True)
+    assert builds == [[1999]]
+    assert (list(counts.residues), list(counts.nonresidues)) == naive_block_counts(
+        1999, 3, generalized=True)
 
 
 def running_products(p):
@@ -313,38 +315,19 @@ def test_tree_storage_is_kept_and_never_shared(monkeypatch):
     assert int(f[0]) == math.factorial(999) % 1999
 
 
-def test_a_fresh_context_holds_nothing(monkeypatch):
-    # a context is p and two empty dicts that wait for their loaders: making
-    # it builds no index, and a block count query at p builds one and
-    # leaves the context as it was
-    builds = []
-    build = context._residue_indexes
-    monkeypatch.setattr(context, "_residue_indexes",
-                        lambda primes: builds.append(primes) or build(primes))
-    ctx = PrimeContext(1999)
-    assert vars(ctx) == {"p": 1999, "representations": {}, "inputs": {}}
-    assert builds == []
-    counts = block_counts(1999, 3, generalized=True)
-    assert builds == [[1999]]
-    assert vars(ctx) == {"p": 1999, "representations": {}, "inputs": {}}
-    assert (list(counts.residues), list(counts.nonresidues)) == naive_block_counts(
-        1999, 3, generalized=True)
-
-
 def test_legendre_matches_naive():
     for p in ODD_PRIMES_600[:40]:
-        ctx = PrimeContext(p)
         for a in range(-3, 2 * p + 1):
-            assert ctx.legendre(a) == naive_legendre(a, p), (p, a)
+            assert arith._legendre(a, p) == naive_legendre(a, p), (p, a)
 
 
 def test_context_rejects_unsupported_p():
     for bad in (1, 2, 9, 561):
         with pytest.raises(ValueError, match="odd prime"):
-            PrimeContext(bad)
+            _check_prime(bad)
     # 2**31 + 11 is prime but too large for the int64 kernel
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        PrimeContext(2**31 + 11)
+        _check_prime(2**31 + 11)
     with pytest.raises(ValueError, match="2\\*\\*31"):
         residue_mask(2**31 + 11)
 
@@ -353,49 +336,6 @@ def test_scan_config_rejects_p_max_above_2_31():
     ScanConfig(p_max=2**31, theorems=("t1",))
     with pytest.raises(ValueError, match="p_max"):
         ScanConfig(p_max=2**31 + 1, theorems=("t1",))
-
-
-def live_contexts() -> int:
-    gc.collect()
-    return sum(isinstance(o, PrimeContext) for o in gc.get_objects())
-
-
-def test_no_query_leaves_a_context_behind():
-    # every public single query builds its own context and drops it, and
-    # so does a scan
-    report = run_scan(ScanConfig(p_max=200, theorems=THEOREM_IDS, q_values=(3, 7), workers=1))
-    assert live_contexts() == 0
-    for tid in THEOREM_IDS:
-        row = next(v for v in report.verdicts if v.theorem_id == tid)
-        assert verify(tid, row.p, row.q) == row
-    partial_products(43, 7)
-    generalized_partial_products(43, 5)
-    block_counts(43, 7)
-    block_counts(43, 5, generalized=True)
-    residue_mask(43)
-    residue_cumulative_counts(43)
-    theorem1_product(43, 7)
-    theorem1_product(43, 5, generalized=True)
-    class_number_dirichlet(43)
-    class_number_forms(43)
-    class_number_lemma1(43, 5)
-    hahn_lee_representation(43, 7)
-    assert live_contexts() == 0
-
-
-def test_scan_builds_one_context_per_prime(monkeypatch):
-    built = Counter()
-
-    class Counting(PrimeContext):
-        def __init__(self, p):
-            built[p] += 1
-            super().__init__(p)
-
-    monkeypatch.setattr(context, "PrimeContext", Counting)
-    report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS,
-                                 q_values=(3, 5, 7, 11), workers=1))
-    assert set(built) == {v.p for v in report.verdicts}
-    assert set(built.values()) == {1}
 
 
 def test_scan_never_builds_a_mask(monkeypatch):
@@ -411,9 +351,6 @@ def test_scan_never_builds_a_mask(monkeypatch):
     assert all(v.passed for v in report.verdicts)
     words, rank = context._residue_indexes([1999])
     assert int(_set_bits_through(words[0], rank[0], np.array(1998))) == 999
-    ctx = PrimeContext(1999)
-    for name in ("mask", "cum"):
-        assert not hasattr(ctx, name), name
 
 
 def test_scan_never_streams_where_it_builds_the_squares(monkeypatch):
@@ -422,18 +359,17 @@ def test_scan_never_streams_where_it_builds_the_squares(monkeypatch):
     # takes h(-p) from its half-interval count, whatever the order of the
     # verifiers
     streamed, built = set(), set()
-    build = context._residue_indexes
-
-    class Recording(PrimeContext):
-        def square_floor_sum(self):
-            streamed.add(self.p)
-            return super().square_floor_sum()
+    build, stream = context._residue_indexes, classnum._square_floor_sum
 
     def recording(primes):
         built.update(primes)
         return build(primes)
 
-    monkeypatch.setattr(context, "PrimeContext", Recording)
+    def streaming(p):
+        streamed.add(p)
+        return stream(p)
+
+    monkeypatch.setattr(classnum, "_square_floor_sum", streaming)
     monkeypatch.setattr(context, "_residue_indexes", recording)
     report = run_scan(ScanConfig(p_max=2000, theorems=THEOREM_IDS, workers=1))
     assert all(v.passed for v in report.verdicts)
@@ -449,10 +385,10 @@ def record_verifier_calls(monkeypatch) -> list:
     def outside(tid):
         verify = _VERIFIERS[tid]
 
-        def wrapped(ctx, q):
-            inside.append((tid, ctx.p, q))
+        def wrapped(p, q, inputs):
+            inside.append((tid, p, q))
             try:
-                return verify(ctx, q)
+                return verify(p, q, inputs)
             finally:
                 inside.pop()
         return wrapped
@@ -516,17 +452,17 @@ def test_scan_builds_residue_indexes_in_batches(monkeypatch):
 def test_scan_and_verify_call_budget(monkeypatch):
     # every body and every binding of is_prime counted, as the benchmark's
     # tracer wraps them: the scan runs each body once per verdict and tests
-    # each prime p once (its context) and each q once per theorem (the
-    # regime) and once more (ScanConfig's check of an explicit q list);
-    # a public verify runs its body once and tests at most q and p
+    # each q once per theorem (the regime) and once more (ScanConfig's check
+    # of an explicit q list), each prime p at most once; a public verify
+    # runs its body once and tests at most q and p
     bodies = Counter()
 
     def counting(tid):
         body = _VERIFIERS[tid]
 
-        def counted(ctx, q):
+        def counted(p, q, inputs):
             bodies[tid] += 1
-            return body(ctx, q)
+            return body(p, q, inputs)
         return counted
 
     for tid in THEOREM_IDS:
@@ -561,7 +497,8 @@ def test_scan_and_verify_call_budget(monkeypatch):
 def test_scan_tests_no_sieved_prime(monkeypatch):
     # the scan's primes come from the sieve, so only q meets is_prime: each
     # q once per theorem that takes one (the regime), and once more where a
-    # body's cached helper first sees it; PrimeContext(p) still tests p
+    # body's cached helper first sees it; _check_prime(p), behind every
+    # public query at p, still tests p
     tested = []
     is_prime = arith.is_prime
 
@@ -582,5 +519,5 @@ def test_scan_tests_no_sieved_prime(monkeypatch):
     assert set(tested) <= set(qs), sorted(set(tested) - set(qs))
     assert len(tested) <= (len(THEOREM_IDS) + 1) * len(qs)
     tested.clear()
-    PrimeContext(1999)
+    _check_prime(1999)
     assert tested == [1999]

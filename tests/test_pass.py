@@ -7,13 +7,14 @@ from functools import cache, reduce
 
 import numpy as np
 
-from gaussprod.context import PrimeContext
+import gaussprod.inputs as inputs
 from gaussprod.inputs import _load_unit, _symbols
-from gaussprod.scan import ScanConfig, _batches, _build_units
+from gaussprod.scan import ScanConfig, _batches, _build_units, run_scan
 from gaussprod.theorems import REGIMES, THEOREM_IDS
 
-from oracles import (naive_block_counts, naive_block_ranges, naive_class_number_dirichlet,
-                     naive_is_prime, naive_legendre, naive_partial_products)
+from oracles import (naive_block_counts, naive_block_ranges, naive_class_number,
+                     naive_class_number_dirichlet, naive_is_prime, naive_legendre,
+                     naive_partial_products)
 
 SMALL_QS = tuple(q for q in range(3, 32, 2) if naive_is_prime(q))
 
@@ -23,9 +24,11 @@ counts_of = cache(naive_block_counts)
 class_number_of = cache(lambda p: int(naive_class_number_dirichlet(p)))
 
 
-def oracle_inputs(tid, p, q):
-    """The inputs of tid's verdict at (p, q), as ctx.inputs holds them, from
-    literal products, set-based symbols and counts."""
+def oracle_inputs(tid, p, q, a=None):
+    """The inputs of tid's verdict at (p, q), as the pass yields them, from
+    literal products, set-based symbols and counts; for eq_a and t2, less
+    the representation 4*p**h(-q) = a*a + q*b*b itself, which
+    check_against_oracles checks, and with (a|p) for the a given."""
     def leg(a):
         return naive_legendre(a, p)
 
@@ -50,11 +53,11 @@ def oracle_inputs(tid, p, q):
     if tid in ("eq_a", "t2"):
         factorials = [prod(blocks[:i]) for i in range(1, q)]
         if tid == "t2":
-            return (int(leg(selected) == leg(prod(factorials[:center - 1]))),)
+            return int(leg(selected) == leg(prod(factorials[:center - 1]))), leg(a)
         squares = {x * x % q for x in range(1, q)}
         beta = Fraction(sum(q - x for x in squares), q)
         value = prod(f for i, f in enumerate(factorials, 1) if (q - i) % q in squares)
-        return leg(p - value if int(beta) % 2 else value), int(beta)
+        return leg(p - value if int(beta) % 2 else value), int(beta), leg(a)
     if tid == "t3":
         sizes = [hi - lo + 1 for lo, hi in naive_block_ranges(p, q, generalized=True)]
         base = (p - 2) // q
@@ -79,25 +82,36 @@ def oracle_inputs(tid, p, q):
 
 
 def load_as_one_unit(entries):
-    """Contexts for (p, work) entries, loaded by one pass over all of them,
-    in the scan's batches."""
-    batches = [[(PrimeContext(p), work) for p, work in batch] for batch in _batches(tuple(entries))]
-    assert sum(map(len, _load_unit(batches, REGIMES))) == len(batches)
-    return [(ctx, work) for batch in batches for ctx, work in batch]
+    """The (p, (theorem_id, q), inputs) of (p, work) entries, from one pass
+    over all of them in the scan's batches, each verdict once and in the
+    entries' order."""
+    loaded = [verdict for part in _load_unit(_batches(tuple(entries)), REGIMES)
+              for verdict in part]
+    assert [(p, pair) for p, pair, _ in loaded] == [
+        (p, pair) for p, work in entries for pair in work]
+    return loaded
 
 
 def check_against_oracles(loaded):
     checked = 0
-    for ctx, work in loaded:
-        for tid, q in work:
-            got, want = ctx.inputs[tid, q], oracle_inputs(tid, ctx.p, q)
-            if tid == "corollary":
-                # the symbols are padded to the widest q of the pass
-                assert got[0][:len(want[0])] == want[0], (tid, ctx.p, q)
-                assert set(got[0][len(want[0]):]) <= {1}, (tid, ctx.p, q)
-                got, want = got[1:], want[1:]
-            assert tuple(got) == tuple(want), (tid, ctx.p, q, got, want)
-            checked += 1
+    for p, (tid, q), got in loaded:
+        a = None
+        if tid in ("eq_a", "t2"):
+            # 4*p**h(-q) = a*a + q*b*b with a == 2 (mod q), b > 0
+            rep = got[-2]
+            h = naive_class_number(q)
+            assert (rep.p, rep.q, rep.h) == (p, q, h), (tid, p, q, rep)
+            assert rep.a ** 2 + q * rep.b ** 2 == 4 * p ** h and rep.a % q == 2, (tid, p, q, rep)
+            assert rep.b > 0, (tid, p, q, rep)
+            got, a = got[:-2] + got[-1:], rep.a
+        want = oracle_inputs(tid, p, q, a)
+        if tid == "corollary":
+            # the symbols are padded to the widest q of the pass
+            assert got[0][:len(want[0])] == want[0], (tid, p, q)
+            assert set(got[0][len(want[0]):]) <= {1}, (tid, p, q)
+            got, want = got[1:], want[1:]
+        assert tuple(got) == tuple(want), (tid, p, q, got, want)
+        checked += 1
     return checked
 
 
@@ -124,6 +138,25 @@ def test_unit_inputs_across_the_two_row_bound():
     batches = list(_batches(tuple(entries)))
     assert any(len(b) > 1 for b in batches) and any(b[0][0] > 65_537 for b in batches)
     assert check_against_oracles(load_as_one_unit(entries)) == sum(len(w) for _, w in entries)
+
+
+def test_eq_a_and_t2_share_each_representation(monkeypatch):
+    # the representation workload: eq_a and t2 at the same (p, q) read one
+    # representation, made once by the pass
+    made = []
+    represent = inputs._representation
+
+    def counting(p, q):
+        made.append((p, q))
+        return represent(p, q)
+
+    monkeypatch.setattr(inputs, "_representation", counting)
+    report = run_scan(ScanConfig(p_max=20_000, theorems=("eq_a", "t2"),
+                                 q_values=(7, 11, 19, 23, 31), workers=1))
+    assert all(v.passed for v in report.verdicts)
+    assert len(report.verdicts) == 1344
+    assert len(made) == len(set(made)) == 892
+    assert set(made) == {(v.p, v.q) for v in report.verdicts}
 
 
 def test_euler_criterion_matches_pow():

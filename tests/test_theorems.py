@@ -9,7 +9,8 @@ from gaussprod import (CongruenceConstraint, RegimeError, THEOREM_IDS,
                        verify_symmetry, verify_theorem1, verify_theorem2,
                        verify_theorem3, verify_theorem4)
 from gaussprod.scan import ScanConfig, _build_units, run_scan
-from gaussprod.theorems import REGIMES
+from gaussprod.inputs import _INPUTS
+from gaussprod.theorems import _VERIFIERS, REGIMES
 from gaussprod.verdict import _exact
 
 
@@ -191,6 +192,8 @@ def test_dispatch():
 
 def test_regime_q_reason():
     assert set(REGIMES) == set(THEOREM_IDS)
+    assert set(_INPUTS) == set(THEOREM_IDS)
+    assert set(_VERIFIERS) == set(THEOREM_IDS)
     assert regime_q_reason("mordell", None) is None
     assert regime_q_reason("t1", 4) is not None
     assert regime_q_reason("t1", 9) is not None
@@ -232,8 +235,8 @@ def test_scan_enumeration_matches_verifier_regimes():
 
 def test_scan_rows_equal_single_queries():
     # every theorem over the default q list at p < 1e4: the scan runs the
-    # bodies on its batches' contexts, verify on a one-row load of its own,
-    # and the two give the same Verdict field by field, detail included
+    # bodies on its units' pass, verify on a one-row load of its own, and
+    # the two give the same Verdict field by field, detail included
     report = run_scan(ScanConfig(p_max=10_000, theorems=THEOREM_IDS))
     assert {v.theorem_id for v in report.verdicts} == set(THEOREM_IDS)
     for v in report.verdicts:

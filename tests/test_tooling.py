@@ -16,7 +16,6 @@ from pathlib import Path
 
 import gaussprod
 from gaussprod import selftest, theorems
-from gaussprod.context import PrimeContext
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gaussprod"
@@ -85,14 +84,12 @@ def test_readme_fixture_count_matches_selftest():
 
 
 def test_readme_names_resolve():
-    # every backticked dotted name whose head is a gaussprod module or
-    # PrimeContext (read on a context, so fields count too)
+    # every backticked dotted name whose head is a gaussprod module
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     prose = re.sub(r"^```.*?^```", "", readme, flags=re.M | re.S)
     heads = {info.name: importlib.import_module(f"gaussprod.{info.name}")
              for info in pkgutil.iter_modules(gaussprod.__path__)
              if info.name != "__main__"}
-    heads["PrimeContext"] = PrimeContext(3)
     names = [name for name in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", prose)
              if name.split(".")[0] in heads]
     assert len(names) >= 5
